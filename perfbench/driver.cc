@@ -945,7 +945,7 @@ int Main(int argc, char** argv) {
   it->second(cfg, &run);
   if (cfg.trace) cca::trace::Stop();
 
-  const bool correct = run.failed == 0 && run.attempted > 0;
+  bool correct = run.failed == 0 && run.attempted > 0;
   for (const std::string& e : run.errors) std::printf("CHECK FAILED: %s\n", e.c_str());
 
   const std::size_t n = run.latency_ms.size();
@@ -960,6 +960,14 @@ int Main(int argc, char** argv) {
   if (cfg.trace) {
     PrintLayerTable(run);
     metrics.merge(PerLayer(cfg, run));
+    // The named layers must account for the operations' wall time; what
+    // they leave is the benchmark's own glue between calls.
+    const double coverage = metrics.at("trace.coverage").value;
+    std::printf("layer self times cover %.4f of operation wall time\n", coverage);
+    if (coverage < 0.95) {
+      std::printf("CHECK FAILED: layer self times cover less than 95%% of wall time\n");
+      correct = false;
+    }
     if (!cfg.spans_out.empty() && !WriteSpans(cfg.spans_out, run)) {
       std::fprintf(stderr, "perfbench: cannot write %s\n", cfg.spans_out.c_str());
       return 1;
