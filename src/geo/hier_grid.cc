@@ -177,10 +177,10 @@ Rect HierarchicalGrid::FineRect(std::size_t f) const {
   return Rect{{lx, ly}, {lx + sub, ly + sub}};
 }
 
-UniformGrid::CellSlice HierarchicalGrid::FineCell(std::size_t f) const {
+HierarchicalGrid::CellSlice HierarchicalGrid::FineCell(std::size_t f) const {
   const auto begin = static_cast<std::size_t>(start_[f]);
   const auto end = static_cast<std::size_t>(start_[f + 1]);
-  UniformGrid::CellSlice slice;
+  CellSlice slice;
   slice.ids = items_.data() + begin;
   slice.xs = xs_.data() + begin;
   slice.ys = ys_.data() + begin;

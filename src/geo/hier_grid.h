@@ -41,6 +41,10 @@ namespace cca {
 
 class HierarchicalGrid {
  public:
+  // Clustered slice of one fine cell (the flat grid's slice type, so the
+  // fused relax kernel reads both layouts the same way).
+  using CellSlice = UniformGrid::CellSlice;
+
   struct Options {
     // Average residents per *coarse* cell the builder aims for. The
     // default keeps the coarse lattice ~16x coarser than the default fine
@@ -110,15 +114,14 @@ class HierarchicalGrid {
     return static_cast<std::size_t>(fine_owner_[f]);
   }
   Rect FineRect(std::size_t f) const;
-  // Slot span and clustered slice of fine cell `f` (slice type shared with
-  // UniformGrid so the fused relax kernel serves both).
+  // Slot span and clustered slice of fine cell `f`.
   std::size_t fine_cell_begin(std::size_t f) const {
     return static_cast<std::size_t>(start_[f]);
   }
   std::size_t fine_cell_end(std::size_t f) const {
     return static_cast<std::size_t>(start_[f + 1]);
   }
-  UniformGrid::CellSlice FineCell(std::size_t f) const;
+  CellSlice FineCell(std::size_t f) const;
 
   // Calls fn(cx, cy) for every lattice cell of coarse ring `ring` around
   // the (clamped) coarse cell of `q` (same traversal as

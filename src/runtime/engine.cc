@@ -168,18 +168,9 @@ void AssignmentEngine::RebuildIndexesIfStale() {
   // surgery — keeps every id dense; the version flag makes it O(1) to
   // detect that nothing changed and skip all of this.
   const SspaConfig& cfg = options_.sspa;
-  solve_grid_.reset();
   solve_hier_.reset();
-  if (cfg.use_cell_floors && cfg.use_hierarchy) {
-    HierarchicalGrid::Options opts;
-    const double fine = cfg.grid_target_per_cell > 0.0 ? cfg.grid_target_per_cell
-                                                       : UniformGrid::kDefaultTargetPerCell;
-    opts.fine_target_per_cell = fine;
-    opts.coarse_target_per_cell = 16.0 * fine;
-    opts.split_threshold = cfg.hier_split_threshold;
-    solve_hier_ = std::make_unique<HierarchicalGrid>(problem_.customers, opts);
-  } else if (cfg.use_grid || cfg.use_cell_floors) {
-    solve_grid_ = std::make_unique<UniformGrid>(problem_.customers, cfg.grid_target_per_cell);
+  if (cfg.use_grid) {
+    solve_hier_ = std::make_unique<HierarchicalGrid>(problem_.customers, RelaxGridOptions(cfg));
   }
   nn_grid_ = std::make_unique<UniformGrid>(problem_.customers);
   nn_floors_.reset();  // reseeded from fresh duals after the solve
@@ -195,7 +186,6 @@ AssignmentEngine::ResolveOutcome AssignmentEngine::Resolve() {
   Timer timer;
   RebuildIndexesIfStale();
   SspaConfig cfg = options_.sspa;
-  cfg.shared_grid = solve_grid_.get();
   cfg.shared_hier_grid = solve_hier_.get();
   // The serving engine always degrades gracefully on infeasible snapshots:
   // demand the capacity cannot absorb routes to the solver's virtual

@@ -23,10 +23,10 @@
 //     table). The solver's own repair pass remains the safety net, so
 //     seed quality affects only speed — never the matching
 //     (src/runtime/README.md has the soundness argument).
-//   * Index invalidation by population version. The customer grid (flat or
-//     hierarchical, per the configured solve strategy) is rebuilt only on
-//     a Resolve that follows a customer insert/remove and is shared with
-//     the solver via SspaConfig::shared_grid / shared_hier_grid; provider
+//   * Index invalidation by population version. The customer grid (the
+//     hierarchical relax grid, when the ring scan is configured) is
+//     rebuilt only on a Resolve that follows a customer insert/remove and
+//     is shared with the solver via SspaConfig::shared_hier_grid; provider
 //     churn never invalidates it. The engine-side nearest-neighbour
 //     bookkeeping (grid + CellTauTable) follows the same policy, with
 //     customer removals masked incrementally via CellTauTable::Remove and
@@ -69,8 +69,8 @@ class AssignmentEngine {
 
   struct Options {
     // Base solve configuration. The engine owns the shared index and warm
-    // duals, so shared_grid / shared_hier_grid / initial_potentials are
-    // overwritten per Resolve; every other knob passes through.
+    // duals, so shared_hier_grid / initial_potentials / initial_matching
+    // are overwritten per Resolve; every other knob passes through.
     SspaConfig sspa;
     // Seed each solve with the previous solve's duals. Off = every
     // Resolve is a cold solve (the A/B switch the churn suite and
@@ -216,10 +216,9 @@ class AssignmentEngine {
   std::vector<FlowRec> last_flow_;
   bool have_solution_ = false;
 
-  // Shared solve index over the customers, rebuilt only when the customer
-  // population changed since it was built (flat or hierarchical, matching
-  // the configured solve strategy).
-  std::unique_ptr<UniformGrid> solve_grid_;
+  // Shared relax grid over the customers, rebuilt only when the customer
+  // population changed since it was built (null with use_grid off: the
+  // reference path builds no index).
   std::unique_ptr<HierarchicalGrid> solve_hier_;
   // Engine-side tau-augmented NN bookkeeping: a flat grid over the
   // customers as of the last Resolve plus the cell floors of their duals.

@@ -26,24 +26,20 @@ SharedIndex::SharedIndex(std::vector<Point> customers, const Options& options)
     stream_target_per_cell_ = ResolveGridTargetPerCell(probe);
     stream_grid_ = std::make_unique<UniformGrid>(customers_, stream_target_per_cell_);
     relax_target_per_cell_ = options.relax_target_per_cell;
-    relax_grid_ = std::make_unique<UniformGrid>(customers_, relax_target_per_cell_);
-    // Hierarchical siblings at the same fine resolutions, with the standard
-    // 16x-coarser aggregation level (the ratio SspaSolver's private build
-    // uses, so a borrowed and an owned hierarchy are interchangeable).
+    // Hierarchical grids at the stream and relax fine resolutions, with the
+    // standard 16x-coarser aggregation level; the relax grid is built the
+    // way SolveSspa would, so a borrowed and an owned hierarchy are
+    // interchangeable.
     hier_split_threshold_ = options.hier_split_threshold;
     HierarchicalGrid::Options stream_opts;
     stream_opts.fine_target_per_cell = stream_target_per_cell_;
     stream_opts.coarse_target_per_cell = 16.0 * stream_target_per_cell_;
     stream_opts.split_threshold = hier_split_threshold_;
     stream_hier_ = std::make_unique<HierarchicalGrid>(customers_, stream_opts);
-    const double relax_fine = relax_target_per_cell_ > 0.0
-                                  ? relax_target_per_cell_
-                                  : UniformGrid::kDefaultTargetPerCell;
-    HierarchicalGrid::Options relax_opts;
-    relax_opts.fine_target_per_cell = relax_fine;
-    relax_opts.coarse_target_per_cell = 16.0 * relax_fine;
-    relax_opts.split_threshold = hier_split_threshold_;
-    relax_hier_ = std::make_unique<HierarchicalGrid>(customers_, relax_opts);
+    SspaConfig relax_probe;
+    relax_probe.grid_target_per_cell = relax_target_per_cell_;
+    relax_probe.hier_split_threshold = hier_split_threshold_;
+    relax_hier_ = std::make_unique<HierarchicalGrid>(customers_, RelaxGridOptions(relax_probe));
   }
 }
 
@@ -133,14 +129,9 @@ QueryOutcome QueryRunner::RunOne(const QuerySpec& spec) const {
   switch (spec.solver) {
     case QuerySolver::kSspa: {
       SspaConfig config = spec.sspa;
-      if (config.shared_grid == nullptr && same_customers &&
-          config.grid_target_per_cell == index_->relax_target_per_cell()) {
-        config.shared_grid = index_->relax_grid();
-      }
-      // The hierarchical relax grid borrows under the same contract, plus a
-      // matching split threshold (the hierarchy's one extra shape knob).
-      if (config.use_hierarchy && config.use_cell_floors &&
-          config.shared_hier_grid == nullptr && same_customers &&
+      // The relax grid borrows when the query would build the same one:
+      // same customers, resolution and split threshold.
+      if (config.use_grid && config.shared_hier_grid == nullptr && same_customers &&
           config.grid_target_per_cell == index_->relax_target_per_cell() &&
           config.hier_split_threshold == index_->hier_split_threshold()) {
         config.shared_hier_grid = index_->relax_hier();

@@ -74,11 +74,10 @@ class SharedIndex {
   // Null when Options::build_customer_db was false.
   CustomerDb* db() const { return db_.get(); }
   const UniformGrid* stream_grid() const { return stream_grid_.get(); }
-  const UniformGrid* relax_grid() const { return relax_grid_.get(); }
-  // Hierarchical siblings of the two flat grids (geo/hier_grid.h), built at
-  // the same fine resolutions with the standard 16x-coarser top level:
-  // injected into SSPA solves running with use_hierarchy and into exact
-  // kGrid solves that opt into the hierarchical stream.
+  // Hierarchical grids (geo/hier_grid.h) with the standard 16x-coarser top
+  // level: the stream grid's sibling at its fine resolution, injected into
+  // exact kGrid solves that opt into the hierarchical stream, and the SSPA
+  // relax grid, injected into ring-scan solves.
   const HierarchicalGrid* stream_hier() const { return stream_hier_.get(); }
   const HierarchicalGrid* relax_hier() const { return relax_hier_.get(); }
   // Resolved resolutions the grids were built at (used by QueryRunner to
@@ -91,7 +90,6 @@ class SharedIndex {
   std::vector<Point> customers_;
   std::unique_ptr<CustomerDb> db_;
   std::unique_ptr<UniformGrid> stream_grid_;
-  std::unique_ptr<UniformGrid> relax_grid_;
   std::unique_ptr<HierarchicalGrid> stream_hier_;
   std::unique_ptr<HierarchicalGrid> relax_hier_;
   double stream_target_per_cell_ = 0.0;

@@ -46,7 +46,6 @@ struct ChurnSpec {
 // no initial potentials — the reference the warm path must match.
 double ColdCost(const Problem& problem, const SspaConfig& base) {
   SspaConfig cold = base;
-  cold.shared_grid = nullptr;
   cold.shared_hier_grid = nullptr;
   cold.initial_potentials = nullptr;
   cold.initial_matching = nullptr;
@@ -136,18 +135,11 @@ TEST(EngineChurn, ClusteredWeighted) { RunChurn({Dist::kClustered, true, 14, 500
 TEST(EngineChurn, SkewedUnit) { RunChurn({Dist::kSkewed, false, 15, 500, {}}); }
 TEST(EngineChurn, SkewedWeighted) { RunChurn({Dist::kSkewed, true, 16, 500, {}}); }
 
-TEST(EngineChurn, FlatGridConfig) {
-  ChurnSpec spec{Dist::kClustered, false, 17, 300, {}};
-  spec.sspa.use_hierarchy = false;
-  RunChurn(spec);
-}
-
 TEST(EngineChurn, DenseNoFloorsConfig) {
-  // Legacy index-free solve paths under warm start (no tau tables at all).
+  // The index-free reference path under warm start (no relax grid and no
+  // tau tables at all).
   ChurnSpec spec{Dist::kUniform, true, 18, 200, {}};
   spec.sspa.use_grid = false;
-  spec.sspa.use_cell_floors = false;
-  spec.sspa.use_hierarchy = false;
   RunChurn(spec);
 }
 
