@@ -1,6 +1,6 @@
 // QPS/latency benchmark for the concurrent query engine (src/runtime).
 //
-// Drives a mixed workload — IDA/NIA/RIA/SSPA over the grid backends plus an
+// Drives a mixed workload — IDA/NIA/RIA/SSPA over the grid backend plus an
 // R-tree-grouped slice — through QueryRunner at increasing thread counts,
 // all over one SharedIndex. Each thread count reruns the *same* batch, and
 // every multi-threaded outcome is checked bit-identical (cost, pops,
@@ -61,13 +61,10 @@ std::vector<cca::QuerySpec> MakeBatch(const cca::RoadNetwork& net,
     }
     switch (i % 8) {
       case 0:
+      case 1:
       case 5:
         spec.solver = cca::QuerySolver::kIda;
         spec.exact.discovery_backend = cca::DiscoveryBackend::kGrid;
-        break;
-      case 1:
-        spec.solver = cca::QuerySolver::kIda;
-        spec.exact.discovery_backend = cca::DiscoveryBackend::kGridBatched;
         break;
       case 2:
         spec.solver = cca::QuerySolver::kNia;
@@ -94,8 +91,7 @@ std::vector<cca::QuerySpec> MakeBatch(const cca::RoadNetwork& net,
 bool UsesRTree(const cca::QuerySpec& spec) {
   return spec.solver != cca::QuerySolver::kSspa &&
          (spec.exact.discovery_backend == cca::DiscoveryBackend::kRTreePlain ||
-          spec.exact.discovery_backend == cca::DiscoveryBackend::kRTreeGrouped ||
-          spec.exact.discovery_backend == cca::DiscoveryBackend::kAuto);
+          spec.exact.discovery_backend == cca::DiscoveryBackend::kRTreeGrouped);
 }
 
 struct Row {

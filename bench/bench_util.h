@@ -159,15 +159,12 @@ class JsonTrajectory {
         buf, sizeof(buf),
         "  {\"setting\": \"%s\", \"algo\": \"%s\", \"esub\": %llu, "
         "\"node_accesses\": %llu, \"grid_cursor_cells\": %llu, "
-        "\"shared_frontier_cell_fetches\": %llu, \"shared_frontier_fanout\": %llu, "
         "\"index_node_accesses\": %llu, \"page_faults\": %llu, "
         "\"nn_searches\": %llu, \"invalid_paths\": %llu, "
         "\"cpu_ms\": %.3f, \"io_ms\": %.3f, \"cost\": %.3f}",
         setting.c_str(), algo, static_cast<unsigned long long>(r.metrics.edges_inserted),
         static_cast<unsigned long long>(r.metrics.node_accesses),
         static_cast<unsigned long long>(r.metrics.grid_cursor_cells),
-        static_cast<unsigned long long>(r.metrics.shared_frontier_cell_fetches),
-        static_cast<unsigned long long>(r.metrics.shared_frontier_fanout),
         static_cast<unsigned long long>(r.metrics.index_node_accesses),
         static_cast<unsigned long long>(r.metrics.page_faults),
         static_cast<unsigned long long>(r.metrics.nn_searches),
@@ -196,16 +193,14 @@ class JsonTrajectory {
   std::vector<std::string> rows_;
 };
 
-// Runs the standard exact-solver suite (RIA, NIA, IDA, grid-backed IDA,
-// batched-frontier IDA) on one workload setting, printing table rows and
-// appending to the JSON trajectory. Shared by the figure benches so the
+// Runs the standard exact-solver suite (RIA, NIA, IDA, grid-backed IDA) on
+// one workload setting, printing table rows and appending to the JSON
+// trajectory. Shared by the figure benches so the
 // row schema cannot drift between BENCH_fig*.json files.
 inline void RunExactSuite(Workload* w, const std::string& setting, std::size_t np,
                           JsonTrajectory* json) {
   ExactConfig grid_config = DefaultExactConfig(np);
   grid_config.discovery_backend = DiscoveryBackend::kGrid;
-  ExactConfig batched_config = DefaultExactConfig(np);
-  batched_config.discovery_backend = DiscoveryBackend::kGridBatched;
   const auto record = [&](const char* algo, const ExactResult& r) {
     ExactRow(setting, algo, r);
     json->AddExact(setting, algo, r);
@@ -218,10 +213,6 @@ inline void RunExactSuite(Workload* w, const std::string& setting, std::size_t n
          ColdRun(w->db.get(), [&] { return SolveIda(w->problem, w->db.get(), DefaultExactConfig(np)); }));
   record("IDA-G",
          ColdRun(w->db.get(), [&] { return SolveIda(w->problem, w->db.get(), grid_config); }));
-  // IDA-B: same memory-resident grid, but Hilbert groups share one
-  // frontier — grid_cursor_cells records only first materialisations.
-  record("IDA-B",
-         ColdRun(w->db.get(), [&] { return SolveIda(w->problem, w->db.get(), batched_config); }));
 }
 
 }  // namespace cca::bench

@@ -5,9 +5,9 @@
 // Usage:
 //   cca_cli [--solver ida|nia|ria|sspa|greedy|sa|ca] [--nq N] [--np N]
 //           [--k N] [--delta D] [--theta T] [--dist-q u|c] [--dist-p u|c]
-//           [--seed S] [--no-pua] [--no-ann] [--dense]
+//           [--seed S] [--no-pua] [--dense]
 //           [--hier-split-threshold N]
-//           [--backend auto|rtree|ann|grid|grid-batched]
+//           [--backend rtree|ann|grid]
 //           [--threads N] [--repeat R] [--trace-out FILE]
 //
 // --repeat replicates the solve R times and --threads runs the replicas
@@ -23,10 +23,9 @@
 // into finer children (0 = auto); it steers only that grid, so other
 // solvers and --dense runs reject it.
 // --backend selects the candidate-discovery backend of the exact solvers:
-// independent R-tree NN iterators, the grouped ANN traversal, grid ring
-// cursors over the memory-resident customer array, or the batched shared
-// frontier (grid-batched: Hilbert-grouped providers sharing one cell sweep
-// per group). SSPA has no discovery backend, so --solver sspa rejects it.
+// independent R-tree NN iterators (rtree), the grouped ANN traversal (ann,
+// the default) or grid ring cursors over the memory-resident customer
+// array (grid). SSPA has no discovery backend, so --solver sspa rejects it.
 // --dist-q/--dist-p take u (uniform) or c (clustered); anything else is
 // rejected rather than read as uniform.
 // --trace-out writes a Chrome trace (chrome://tracing / perfetto) of the
@@ -63,11 +62,10 @@ struct Args {
   bool clustered_p = true;
   std::uint64_t seed = 1;
   bool use_pua = true;
-  bool use_ann = true;
   bool dense_sspa = false;
   bool split_threshold_given = false;    // --hier-split-threshold on the command line
   std::size_t hier_split_threshold = 0;  // 0 = builder auto
-  std::string backend = "auto";
+  std::string backend = "ann";
   bool backend_given = false;  // --backend on the command line
   std::size_t threads = 1;
   std::size_t repeat = 1;
@@ -129,8 +127,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->seed = static_cast<std::uint64_t>(std::atoll(next()));
     } else if (flag == "--no-pua") {
       args->use_pua = false;
-    } else if (flag == "--no-ann") {
-      args->use_ann = false;
     } else if (flag == "--dense") {
       args->dense_sspa = true;
     } else if (flag == "--hier-split-threshold") {
@@ -180,9 +176,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: cca_cli [--solver ida|nia|ria|sspa|greedy|sa|ca] [--nq N] [--np N]\n"
                  "               [--k N] [--delta D] [--theta T] [--dist-q u|c] [--dist-p u|c]\n"
-                 "               [--seed S] [--no-pua] [--no-ann] [--dense]\n"
+                 "               [--seed S] [--no-pua] [--dense]\n"
                  "               [--hier-split-threshold N]\n"
-                 "               [--backend auto|rtree|ann|grid|grid-batched]\n"
+                 "               [--backend rtree|ann|grid]\n"
                  "               [--threads N] [--repeat R] [--trace-out FILE]\n");
     return 2;
   }
@@ -210,17 +206,14 @@ int main(int argc, char** argv) {
   ExactConfig exact;
   exact.theta = args.theta;
   exact.use_pua = args.use_pua;
-  exact.use_ann_grouping = args.use_ann;
   if (args.backend == "rtree") {
     exact.discovery_backend = DiscoveryBackend::kRTreePlain;
   } else if (args.backend == "ann") {
     exact.discovery_backend = DiscoveryBackend::kRTreeGrouped;
   } else if (args.backend == "grid") {
     exact.discovery_backend = DiscoveryBackend::kGrid;
-  } else if (args.backend == "grid-batched") {
-    exact.discovery_backend = DiscoveryBackend::kGridBatched;
-  } else if (args.backend != "auto") {
-    std::fprintf(stderr, "unknown backend '%s'\n", args.backend.c_str());
+  } else {
+    std::fprintf(stderr, "unknown backend '%s' (want rtree|ann|grid)\n", args.backend.c_str());
     return 2;
   }
 
@@ -340,10 +333,6 @@ int main(int argc, char** argv) {
   std::printf("node_accesses=%llu\n", static_cast<unsigned long long>(metrics.node_accesses));
   std::printf("grid_cursor_cells=%llu\n",
               static_cast<unsigned long long>(metrics.grid_cursor_cells));
-  std::printf("shared_frontier_cell_fetches=%llu\n",
-              static_cast<unsigned long long>(metrics.shared_frontier_cell_fetches));
-  std::printf("shared_frontier_fanout=%llu\n",
-              static_cast<unsigned long long>(metrics.shared_frontier_fanout));
   std::printf("index_node_accesses=%llu\n",
               static_cast<unsigned long long>(metrics.index_node_accesses));
   std::printf("page_faults=%llu\n", static_cast<unsigned long long>(metrics.page_faults));

@@ -46,8 +46,6 @@ inline constexpr double kIoMillisPerFault = 10.0;
   X(range_searches, "range_searches")                       \
   X(node_accesses, "node_accesses")                         \
   X(grid_cursor_cells, "grid_cursor_cells")                 \
-  X(shared_frontier_cell_fetches, "shared_frontier_fetches") \
-  X(shared_frontier_fanout, "shared_frontier_fanout")       \
   X(index_node_accesses, "index_node_accesses")             \
   X(page_faults, "faults")
 
@@ -109,13 +107,6 @@ struct Metrics {
   std::uint64_t range_searches = 0;  // (annular) range searches issued
   std::uint64_t node_accesses = 0;   // logical R-tree node touches
   std::uint64_t grid_cursor_cells = 0;  // grid cells fetched by ring cursors
-  // Shared-frontier batched discovery (geo/shared_frontier.h): first cell
-  // materialisations, and total cell -> subscriber deliveries. Their ratio
-  // fanout / cell_fetches is the achieved multiplexing factor; fetches are
-  // also charged into grid_cursor_cells so batched and per-cursor runs
-  // compare on one ledger.
-  std::uint64_t shared_frontier_cell_fetches = 0;
-  std::uint64_t shared_frontier_fanout = 0;
   // Backend-neutral index work: R-tree node touches plus grid cells
   // fetched, so rtree- and grid-backed runs compare apples-to-apples.
   std::uint64_t index_node_accesses = 0;

@@ -3,7 +3,8 @@
 // `NnSource` hands out, per service provider, the next nearest customer on
 // demand. The interface is backend-neutral — a `Hit` is just (customer id,
 // distance), with no R-tree types leaking through — and three backends
-// implement it (see src/core/README.md for the layer contract):
+// implement it, one per DiscoveryBackend (see src/core/README.md for the
+// layer contract):
 //
 //   * PlainNnSource    independent best-first R-tree iterators, one per
 //                      provider;
@@ -11,14 +12,10 @@
 //                      Section 3.4.2;
 //   * GridNnSource     uniform-grid ring cursors over the memory-resident
 //                      customer array (src/geo/grid_cursor.h) — no R-tree
-//                      nodes are touched and no page I/O is charged;
-//   * BatchedGridSource Hilbert-grouped SharedFrontier sweeps
-//                      (src/geo/shared_frontier.h): each group fetches a
-//                      cell once and multiplexes its points to every
-//                      member, the grid analogue of GroupedNnSource.
+//                      nodes are touched and no page I/O is charged.
 //
 // The concrete classes live in nn_source.cc; callers go through the
-// factory, which resolves ExactConfig::discovery_backend.
+// factory, which dispatches on ExactConfig::discovery_backend.
 #ifndef CCA_CORE_NN_SOURCE_H_
 #define CCA_CORE_NN_SOURCE_H_
 
@@ -51,22 +48,14 @@ class NnSource {
   // without consuming it; may read index structures to find out. RIA's
   // grid path drains a source batch-by-batch against this bound.
   virtual double PeekDistance(int q) = 0;
-  // Provider `q`'s stream will not be consumed again (capacity exhausted,
-  // or the solver retired it). Batched sources terminate the stream and
-  // release its subscription slot — queued candidates and delivery
-  // bookkeeping — so a retiree stops costing both memory and fanout work;
-  // per-provider backends ignore the call. After Retire, NextNN(q)
-  // returns nullopt and PeekDistance(q) is +infinity on batched sources.
-  virtual void Retire(int q) { (void)q; }
 };
 
-// Resolves kAuto against the legacy `use_ann_grouping` switch.
-DiscoveryBackend ResolveDiscoveryBackend(const ExactConfig& config, std::size_t num_providers);
-
-// Resolves ExactConfig::grid_stream_target_per_cell for the exact-solver
-// grid backend: non-positive falls back to a coarse streaming default
-// (fat cells amortise cursor fetches the way R-tree leaf pages do).
-double ResolveGridTargetPerCell(const ExactConfig& config);
+// Streaming-grid resolution of the kGrid backend, in average customers per
+// cell. Unlike the SSPA relax (which wants fine cells for pruning
+// granularity), an NN cursor keeps every fetched point in its candidate
+// heap, so fat cells simply amortise the per-fetch cost — one fetch is one
+// contiguous SoA scan, the grid analogue of reading an R-tree leaf page.
+inline constexpr double kNnStreamTargetPerCell = 256.0;
 
 // Factory honouring ExactConfig::discovery_backend. The grid backend reads
 // `db->points()` and reports its cursor cells into `metrics`

@@ -41,9 +41,8 @@ ExactResult SolveRia(const Problem& problem, CustomerDb* db, const ExactConfig& 
   const double world_diag = problem.World().Diagonal();
   const auto nq = problem.providers.size();
 
-  std::unique_ptr<NnSource> grid_source;  // grid backends: resumable stream per provider
-  const DiscoveryBackend backend = ResolveDiscoveryBackend(config, nq);
-  if (backend == DiscoveryBackend::kGrid || backend == DiscoveryBackend::kGridBatched) {
+  std::unique_ptr<NnSource> grid_source;  // grid backend: resumable stream per provider
+  if (config.discovery_backend == DiscoveryBackend::kGrid) {
     grid_source = MakeNnSource(db, problem, config, &result.metrics);
   }
   std::vector<RTree::Hit> hits;

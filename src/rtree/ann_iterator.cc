@@ -16,9 +16,10 @@ std::vector<std::vector<int>> FormHilbertGroups(const std::vector<Point>& points
   std::sort(order.begin(), order.end(), [&](int a, int b) {
     return hv[static_cast<std::size_t>(a)] < hv[static_cast<std::size_t>(b)];
   });
+  const std::size_t group_size = std::max<std::size_t>(max_group_size, 1);
   std::vector<std::vector<int>> groups;
-  for (std::size_t begin = 0; begin < order.size(); begin += max_group_size) {
-    const std::size_t end = std::min(order.size(), begin + max_group_size);
+  for (std::size_t begin = 0; begin < order.size(); begin += group_size) {
+    const std::size_t end = std::min(order.size(), begin + group_size);
     groups.emplace_back(order.begin() + static_cast<std::ptrdiff_t>(begin),
                         order.begin() + static_cast<std::ptrdiff_t>(end));
   }

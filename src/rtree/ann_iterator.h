@@ -28,8 +28,9 @@
 namespace cca {
 
 // Partitions `points` (service providers) into groups of at most
-// `max_group_size` consecutive points in Hilbert order over `world`.
-// Returns group membership: result[g] lists provider indices of group g.
+// `max_group_size` consecutive points in Hilbert order over `world`; a
+// `max_group_size` of 0 is treated as 1 (singleton groups). Returns group
+// membership: result[g] lists provider indices of group g.
 std::vector<std::vector<int>> FormHilbertGroups(const std::vector<Point>& points,
                                                 std::size_t max_group_size, const Rect& world);
 

@@ -18,24 +18,12 @@ SharedIndex::SharedIndex(std::vector<Point> customers, const Options& options)
     db_ = std::make_unique<CustomerDb>(customers_, options.db);
   }
   if (!customers_.empty()) {
-    // Resolve the streaming target exactly the way MakeNnSource would for a
-    // config that leaves grid_stream_target_per_cell unset, so a default
-    // config's private build and the shared grid are interchangeable.
-    ExactConfig probe;
-    probe.grid_stream_target_per_cell = options.stream_target_per_cell;
-    stream_target_per_cell_ = ResolveGridTargetPerCell(probe);
-    stream_grid_ = std::make_unique<UniformGrid>(customers_, stream_target_per_cell_);
+    // Both grids are built the way a private per-solve build would be
+    // (MakeNnSource's stream grid, SolveSspa's relax hierarchy), so a
+    // borrowed and an owned grid are interchangeable.
+    stream_grid_ = std::make_unique<UniformGrid>(customers_, kNnStreamTargetPerCell);
     relax_target_per_cell_ = options.relax_target_per_cell;
-    // Hierarchical grids at the stream and relax fine resolutions, with the
-    // standard 16x-coarser aggregation level; the relax grid is built the
-    // way SolveSspa would, so a borrowed and an owned hierarchy are
-    // interchangeable.
     hier_split_threshold_ = options.hier_split_threshold;
-    HierarchicalGrid::Options stream_opts;
-    stream_opts.fine_target_per_cell = stream_target_per_cell_;
-    stream_opts.coarse_target_per_cell = 16.0 * stream_target_per_cell_;
-    stream_opts.split_threshold = hier_split_threshold_;
-    stream_hier_ = std::make_unique<HierarchicalGrid>(customers_, stream_opts);
     SspaConfig relax_probe;
     relax_probe.grid_target_per_cell = relax_target_per_cell_;
     relax_probe.hier_split_threshold = hier_split_threshold_;
@@ -116,10 +104,11 @@ void QueryRunner::WorkerLoop() {
 }
 
 QueryOutcome QueryRunner::RunOne(const QuerySpec& spec) const {
-  // Borrowing is gated on matching size + resolution: a spec whose problem
-  // carries a different customer set (documented as unsupported) or whose
-  // config wants another resolution silently keeps its private build, so a
-  // mismatched injection can never change results.
+  // Borrowing is gated on matching size (and, for the relax grid,
+  // resolution): a spec whose problem carries a different customer set
+  // (documented as unsupported) or whose config wants another resolution
+  // silently keeps its private build, so a mismatched injection can never
+  // change results.
   const bool same_customers = spec.problem.customers.size() == index_->customers().size();
 
   QueryOutcome outcome;
@@ -143,13 +132,8 @@ QueryOutcome QueryRunner::RunOne(const QuerySpec& spec) const {
     }
     default: {
       ExactConfig config = spec.exact;
-      if (config.shared_stream_grid == nullptr && same_customers &&
-          ResolveGridTargetPerCell(config) == index_->stream_target_per_cell()) {
+      if (config.shared_stream_grid == nullptr && same_customers) {
         config.shared_stream_grid = index_->stream_grid();
-      }
-      if (config.use_hierarchy && config.shared_stream_hier == nullptr && same_customers &&
-          ResolveGridTargetPerCell(config) == index_->stream_target_per_cell()) {
-        config.shared_stream_hier = index_->stream_hier();
       }
       CustomerDb* db = index_->db();
       assert(db != nullptr && "exact/greedy queries need the SharedIndex CustomerDb");

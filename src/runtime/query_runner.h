@@ -4,10 +4,10 @@
 // The paper benchmarks one assignment at a time; a serving system runs a
 // *stream* of them (new provider fleets, what-if capacity configurations,
 // rolling re-assignments) against one slowly-changing customer set. The
-// expensive read-only state — the R-tree with its LRU buffer and the two
-// uniform grids (coarse streaming cells for NN discovery, fine cells for
-// the SSPA relax) — is built once into a SharedIndex and shared by every
-// in-flight query; all mutable solver state (potentials, heaps, cursors,
+// expensive read-only state — the R-tree with its LRU buffer, the uniform
+// streaming grid (coarse cells for kGrid NN discovery) and the hierarchical
+// relax grid (fine cells for the SSPA ring scan) — is built once into a
+// SharedIndex and shared by every in-flight query; all mutable solver state (potentials, heaps, cursors,
 // tau floors, metrics) is private to the executing query. No query ever
 // writes shared state, so no locks are taken on the query path: the only
 // synchronisation is the buffer pool's internal mutex (physical page reads)
@@ -48,16 +48,12 @@ namespace cca {
 class SharedIndex {
  public:
   struct Options {
-    // Streaming-grid resolution (NN discovery; kGrid/kGridBatched).
-    // Non-positive resolves to the exact solvers' coarse default, matching
-    // what a private per-solve build would produce.
-    double stream_target_per_cell = 0.0;
     // Relax-grid resolution (SSPA). Matches SspaConfig's default.
     double relax_target_per_cell = UniformGrid::kDefaultTargetPerCell;
     // Build the R-tree CustomerDb (needed by the kRTree* backends and the
     // greedy baseline; grid-only workloads can skip the bulk load).
     bool build_customer_db = true;
-    // Split threshold for the shared hierarchical grids (0 = the builder's
+    // Split threshold for the shared relax hierarchy (0 = the builder's
     // auto default); must match a query's hier_split_threshold for the
     // shared hierarchy to be injected.
     std::size_t hier_split_threshold = 0;
@@ -73,16 +69,14 @@ class SharedIndex {
   const std::vector<Point>& customers() const { return customers_; }
   // Null when Options::build_customer_db was false.
   CustomerDb* db() const { return db_.get(); }
+  // Uniform grid at kNnStreamTargetPerCell (core/nn_source.h), injected
+  // into exact kGrid solves.
   const UniformGrid* stream_grid() const { return stream_grid_.get(); }
-  // Hierarchical grids (geo/hier_grid.h) with the standard 16x-coarser top
-  // level: the stream grid's sibling at its fine resolution, injected into
-  // exact kGrid solves that opt into the hierarchical stream, and the SSPA
-  // relax grid, injected into ring-scan solves.
-  const HierarchicalGrid* stream_hier() const { return stream_hier_.get(); }
+  // SSPA relax grid (geo/hier_grid.h) with the standard 16x-coarser top
+  // level, injected into ring-scan solves.
   const HierarchicalGrid* relax_hier() const { return relax_hier_.get(); }
-  // Resolved resolutions the grids were built at (used by QueryRunner to
-  // decide whether a query's config can borrow them).
-  double stream_target_per_cell() const { return stream_target_per_cell_; }
+  // Resolution and split threshold the relax grid was built at (used by
+  // QueryRunner to decide whether a query's config can borrow it).
   double relax_target_per_cell() const { return relax_target_per_cell_; }
   std::size_t hier_split_threshold() const { return hier_split_threshold_; }
 
@@ -90,9 +84,7 @@ class SharedIndex {
   std::vector<Point> customers_;
   std::unique_ptr<CustomerDb> db_;
   std::unique_ptr<UniformGrid> stream_grid_;
-  std::unique_ptr<HierarchicalGrid> stream_hier_;
   std::unique_ptr<HierarchicalGrid> relax_hier_;
-  double stream_target_per_cell_ = 0.0;
   double relax_target_per_cell_ = 0.0;
   std::size_t hier_split_threshold_ = 0;
 };
@@ -109,9 +101,10 @@ enum class QuerySolver {
 // One independent assignment query. `problem.customers` must be the shared
 // index's customer set (same points, same order) — providers, weights and
 // configs are free per query. The runner injects the shared grids into the
-// configs when the requested resolution matches the index's; a config that
-// asks for a different resolution (or pre-set shared grids) is honoured
-// as-is and falls back to a private build.
+// configs: the stream grid whenever the customer set matches, the relax
+// grid when the requested resolution and split threshold match too. A
+// config that asks for a different relax resolution (or pre-sets its
+// shared grids) is honoured as-is and falls back to a private build.
 struct QuerySpec {
   QuerySolver solver = QuerySolver::kIda;
   Problem problem;

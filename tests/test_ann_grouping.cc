@@ -30,7 +30,7 @@ TEST_P(AnnGroupSizeTest, CostInvariantInGroupSize) {
               1e-6 * (1 + ida.matching.cost()));
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, AnnGroupSizeTest, ::testing::Values<std::size_t>(1, 2, 4, 8, 32),
+INSTANTIATE_TEST_SUITE_P(Sizes, AnnGroupSizeTest, ::testing::Values<std::size_t>(0, 1, 2, 4, 8, 32),
                          [](const ::testing::TestParamInfo<std::size_t>& info) {
                            return "g" + std::to_string(info.param);
                          });

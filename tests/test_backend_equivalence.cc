@@ -1,17 +1,22 @@
 // Cross-backend equivalence for the discovery layer: RIA/NIA/IDA must
 // produce cost-identical matchings whether candidates come from the R-tree
 // (plain or grouped-ANN) or from grid ring cursors, across uniform,
-// clustered and skewed instances, unit and weighted. Plus the node-access
-// regression guard: at |P|=10k memory-resident, the grid backend must do
-// >= 5x less index work than independent R-tree NN iterators.
+// clustered and skewed instances, unit and weighted; greedy must agree
+// while it retires saturated providers' streams; and empty or one-provider
+// fleets must build on every backend. Plus the node-access regression
+// guard: at |P|=10k memory-resident, the grid backend must do >= 5x less
+// index work than independent R-tree NN iterators.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <string>
 
 #include "common/rng.h"
 #include "core/exact.h"
 #include "core/greedy.h"
 #include "core/matching.h"
+#include "core/nn_source.h"
 #include "test_util.h"
 
 namespace cca {
@@ -36,40 +41,35 @@ void ExpectCostEqual(const Problem& problem, const ExactResult& a, const ExactRe
 
 void ExpectBackendsEquivalent(const Problem& problem, const std::string& label) {
   auto db = test::MakeDb(problem);
-  const ExactConfig rtree = BackendConfig(DiscoveryBackend::kAuto);  // grouped ANN
+  const ExactConfig grouped = BackendConfig(DiscoveryBackend::kRTreeGrouped);
+  const ExactConfig plain = BackendConfig(DiscoveryBackend::kRTreePlain);
   const ExactConfig grid = BackendConfig(DiscoveryBackend::kGrid);
-  const ExactConfig batched = BackendConfig(DiscoveryBackend::kGridBatched);
 
-  const ExactResult ida_rtree = SolveIda(problem, db.get(), rtree);
+  const ExactResult ida_grouped = SolveIda(problem, db.get(), grouped);
+  const ExactResult ida_plain = SolveIda(problem, db.get(), plain);
   const ExactResult ida_grid = SolveIda(problem, db.get(), grid);
-  const ExactResult ida_batched = SolveIda(problem, db.get(), batched);
-  ExpectCostEqual(problem, ida_rtree, ida_grid, label + " ida");
-  ExpectCostEqual(problem, ida_rtree, ida_batched, label + " ida batched");
-  // The grid backends read the memory-resident point array only.
+  ExpectCostEqual(problem, ida_grouped, ida_plain, label + " ida plain");
+  ExpectCostEqual(problem, ida_grouped, ida_grid, label + " ida grid");
+  // The grid backend reads the memory-resident point array only.
   EXPECT_EQ(ida_grid.metrics.node_accesses, 0u) << label;
   EXPECT_GT(ida_grid.metrics.grid_cursor_cells, 0u) << label;
   EXPECT_EQ(ida_grid.metrics.index_node_accesses, ida_grid.metrics.grid_cursor_cells) << label;
-  EXPECT_EQ(ida_batched.metrics.node_accesses, 0u) << label;
-  EXPECT_EQ(ida_batched.metrics.grid_cursor_cells,
-            ida_batched.metrics.shared_frontier_cell_fetches)
-      << label;
-  EXPECT_LE(ida_batched.metrics.grid_cursor_cells, ida_grid.metrics.grid_cursor_cells) << label;
 
-  const ExactResult nia_rtree = SolveNia(problem, db.get(), rtree);
+  const ExactResult nia_grouped = SolveNia(problem, db.get(), grouped);
+  const ExactResult nia_plain = SolveNia(problem, db.get(), plain);
   const ExactResult nia_grid = SolveNia(problem, db.get(), grid);
-  const ExactResult nia_batched = SolveNia(problem, db.get(), batched);
-  ExpectCostEqual(problem, nia_rtree, nia_grid, label + " nia");
-  ExpectCostEqual(problem, nia_rtree, nia_batched, label + " nia batched");
+  ExpectCostEqual(problem, nia_grouped, nia_plain, label + " nia plain");
+  ExpectCostEqual(problem, nia_grouped, nia_grid, label + " nia grid");
 
-  const ExactResult ria_rtree = SolveRia(problem, db.get(), rtree);
+  const ExactResult ria_grouped = SolveRia(problem, db.get(), grouped);
+  const ExactResult ria_plain = SolveRia(problem, db.get(), plain);
   const ExactResult ria_grid = SolveRia(problem, db.get(), grid);
-  const ExactResult ria_batched = SolveRia(problem, db.get(), batched);
-  ExpectCostEqual(problem, ria_rtree, ria_grid, label + " ria");
-  ExpectCostEqual(problem, ria_rtree, ria_batched, label + " ria batched");
+  ExpectCostEqual(problem, ria_grouped, ria_plain, label + " ria plain");
+  ExpectCostEqual(problem, ria_grouped, ria_grid, label + " ria grid");
   EXPECT_EQ(ria_grid.metrics.node_accesses, 0u) << label;
   // All backends issue one (annular) range search per provider per batch.
-  EXPECT_EQ(ria_rtree.metrics.range_searches, ria_grid.metrics.range_searches) << label;
-  EXPECT_EQ(ria_rtree.metrics.range_searches, ria_batched.metrics.range_searches) << label;
+  EXPECT_EQ(ria_grouped.metrics.range_searches, ria_plain.metrics.range_searches) << label;
+  EXPECT_EQ(ria_grouped.metrics.range_searches, ria_grid.metrics.range_searches) << label;
 }
 
 TEST(BackendEquivalence, UniformUnit) {
@@ -142,6 +142,67 @@ TEST(BackendEquivalence, PlainBackendAndGreedyStillWork) {
   const double g2 =
       SolveGreedySm(problem, db.get(), BackendConfig(DiscoveryBackend::kGrid)).matching.cost();
   EXPECT_NEAR(g1, g2, 1e-9);
+}
+
+// Greedy retires providers as their capacity saturates — the end-to-end
+// exercise of EdgeFrontier::Retire, on a per-provider grid stream and an
+// R-tree stream.
+TEST(BackendEquivalence, GreedyRetiresProvidersAndMatchesAcrossBackends) {
+  test::InstanceSpec spec;
+  spec.nq = 10;
+  spec.np = 200;
+  spec.k_lo = 2;
+  spec.k_hi = 5;
+  spec.seed = 71;
+  const Problem problem = test::RandomProblem(spec);
+  auto db = test::MakeDb(problem);
+  const ExactResult grid =
+      SolveGreedySm(problem, db.get(), BackendConfig(DiscoveryBackend::kGrid));
+  const ExactResult plain =
+      SolveGreedySm(problem, db.get(), BackendConfig(DiscoveryBackend::kRTreePlain));
+  std::string error;
+  EXPECT_TRUE(ValidateMatching(problem, grid.matching, &error)) << error;
+  EXPECT_EQ(grid.matching.size(), plain.matching.size());
+  EXPECT_NEAR(grid.matching.cost(), plain.matching.cost(), 1e-9);
+}
+
+// Degenerate fleets build through the factory on every backend: no
+// provider at all, and a single provider (a one-member Hilbert group
+// under kRTreeGrouped).
+TEST(BackendEquivalence, EmptyAndSingleProviderSetsBuildThroughFactory) {
+  for (const DiscoveryBackend backend :
+       {DiscoveryBackend::kRTreePlain, DiscoveryBackend::kRTreeGrouped, DiscoveryBackend::kGrid}) {
+    for (const std::size_t nq : {std::size_t{0}, std::size_t{1}}) {
+      const std::string label =
+          "backend " + std::to_string(static_cast<int>(backend)) + " nq " + std::to_string(nq);
+      Problem problem;
+      problem.customers = test::RandomPoints(60, 53);
+      for (const Point& pos : test::RandomPoints(nq, 54)) {
+        problem.providers.push_back(Provider{pos, 3});
+      }
+      auto db = test::MakeDb(problem);
+      const ExactConfig config = BackendConfig(backend);
+      Metrics metrics;
+      auto source = MakeNnSource(db.get(), problem, config, &metrics);
+      ASSERT_NE(source, nullptr) << label;
+      EXPECT_EQ(metrics.grid_cursor_cells, 0u) << label;
+      if (nq == 1) {
+        // The lone provider's stream is exact: nearest customer first.
+        double nearest = std::numeric_limits<double>::infinity();
+        for (const Point& p : problem.customers) {
+          nearest = std::min(nearest, Distance(problem.providers[0].pos, p));
+        }
+        EXPECT_NEAR(source->PeekDistance(0), nearest, 1e-9) << label;
+        const auto hit = source->NextNN(0);
+        ASSERT_TRUE(hit.has_value()) << label;
+        EXPECT_NEAR(hit->dist, nearest, 1e-9) << label;
+      }
+      const ExactResult ida = SolveIda(problem, db.get(), config);
+      std::string error;
+      EXPECT_TRUE(ValidateMatching(problem, ida.matching, &error)) << label << ": " << error;
+      EXPECT_EQ(ida.matching.size(), static_cast<std::int64_t>(3 * nq)) << label;
+    }
+  }
 }
 
 // The acceptance-bar regression guard: grid-backed IDA at |P|=10k

@@ -30,8 +30,7 @@ namespace {
 
 bool UsesRTree(const QuerySpec& spec) {
   return spec.solver != QuerySolver::kSspa &&
-         spec.exact.discovery_backend != DiscoveryBackend::kGrid &&
-         spec.exact.discovery_backend != DiscoveryBackend::kGridBatched;
+         spec.exact.discovery_backend != DiscoveryBackend::kGrid;
 }
 
 // A mixed batch over `customers`: every solver, both grid and R-tree
@@ -42,7 +41,7 @@ std::vector<QuerySpec> MixedBatch(const std::vector<Point>& customers) {
     DiscoveryBackend backend;
   } mix[] = {
       {QuerySolver::kIda, DiscoveryBackend::kGrid},
-      {QuerySolver::kIda, DiscoveryBackend::kGridBatched},
+      {QuerySolver::kIda, DiscoveryBackend::kRTreePlain},
       {QuerySolver::kIda, DiscoveryBackend::kRTreeGrouped},
       {QuerySolver::kIda, DiscoveryBackend::kRTreePlain},
       {QuerySolver::kNia, DiscoveryBackend::kGrid},
@@ -50,7 +49,7 @@ std::vector<QuerySpec> MixedBatch(const std::vector<Point>& customers) {
       {QuerySolver::kGreedy, DiscoveryBackend::kGrid},
       {QuerySolver::kSspa, DiscoveryBackend::kGrid},
       {QuerySolver::kIda, DiscoveryBackend::kGrid},
-      {QuerySolver::kNia, DiscoveryBackend::kGridBatched},
+      {QuerySolver::kNia, DiscoveryBackend::kGrid},
   };
   std::vector<QuerySpec> batch;
   std::uint64_t seed = 40;

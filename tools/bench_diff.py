@@ -20,11 +20,11 @@ fails when
     1e-6: the solvers are exact, so any cost drift beyond float noise is a
     correctness bug -- loosen only for approximate-solver rows), or
   * a deterministic work counter (relaxes, pops, node accesses, cursor
-    cells, shared-frontier fetches) regresses by more than --relax-slack
-    (default 0.10, i.e. 10% growth) over the baseline. Counters are exact
-    re-runs of deterministic code, so the slack only absorbs intentional
-    small drifts; raise it in CI alongside a justifying comment when a PR
-    deliberately trades one counter for another.
+    cells) regresses by more than --relax-slack (default 0.10, i.e. 10%
+    growth) over the baseline. Counters are exact re-runs of deterministic
+    code, so the slack only absorbs intentional small drifts; raise it in
+    CI alongside a justifying comment when a PR deliberately trades one
+    counter for another.
 
 Timing fields are reported but never gated: wall clock is machine-
 dependent, the work counters are not.
@@ -41,7 +41,6 @@ COUNTER_KEYS = (
     "pops",
     "grid_rings_scanned",
     "grid_cursor_cells",
-    "shared_frontier_cell_fetches",
     # Hierarchical-grid activity (geo/hier_grid.h): the coarse counters pin
     # how much work the two-level ring scan does. coarse_tails_pruned
     # growth would be an improvement, but a pruned tail is also a descent

@@ -26,7 +26,10 @@ TINY = ["--nq", "4", "--np", "120", "--k", "20"]
 REJECTED = [
     ("retired --no-cell-floors", ["--solver", "sspa", "--no-cell-floors"] + TINY),
     ("retired --no-hierarchy", ["--solver", "sspa", "--no-hierarchy"] + TINY),
-    ("--backend with sspa", ["--solver", "sspa", "--backend", "grid-batched"] + TINY),
+    ("retired --no-ann", ["--solver", "ida", "--no-ann"] + TINY),
+    ("retired --backend auto", ["--solver", "ida", "--backend", "auto"] + TINY),
+    ("retired --backend grid-batched", ["--solver", "ida", "--backend", "grid-batched"] + TINY),
+    ("--backend with sspa", ["--solver", "sspa", "--backend", "grid"] + TINY),
     ("--backend auto with sspa", ["--solver", "sspa", "--backend", "auto"] + TINY),
     ("unknown backend", ["--solver", "ida", "--backend", "kd"] + TINY),
     ("--dist-q typo", ["--solver", "sspa", "--dist-q", "uniform"] + TINY),
