@@ -123,8 +123,7 @@ class SspaSolver {
           std::make_unique<HierarchicalGrid>(problem.customers, RelaxGridOptions(config_));
       hier_ = owned_hier_.get();
     }
-    hier_floors_ = warm_ ? std::make_unique<HierTauTable>(*hier_, tau_p_)
-                         : std::make_unique<HierTauTable>(*hier_);
+    hier_floors_ = std::make_unique<HierTauTable>(*hier_, tau_p_);
     cursor_ = std::make_unique<HierRingCursor>(*hier_, Point{});
   }
 

@@ -2,34 +2,35 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 namespace cca {
 
 UniformGrid::UniformGrid(const std::vector<Point>& points, double target_per_cell) {
   for (const auto& p : points) bounds_.Expand(p);
   if (bounds_.empty()) bounds_ = Rect::FromPoint(Point{0.0, 0.0});
-  if (target_per_cell > 0.0) {
-    Build(points, target_per_cell);
-    return;
+  ResolutionFor(points.size(), target_per_cell, &cell_, &cols_, &rows_);
+
+  // CSR by counting sort: count per cell, prefix-sum, then scatter ids and
+  // coordinates into their cell's slot range.
+  const std::size_t num_cells = static_cast<std::size_t>(cols_) * static_cast<std::size_t>(rows_);
+  start_.assign(num_cells + 1, 0);
+  items_.resize(points.size());
+  xs_.resize(points.size());
+  ys_.resize(points.size());
+  std::vector<std::int32_t> cell_of(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    int cx = 0, cy = 0;
+    Locate(points[i], &cx, &cy);
+    cell_of[i] = static_cast<std::int32_t>(CellIndex(cx, cy));
+    ++start_[static_cast<std::size_t>(cell_of[i]) + 1];
   }
-  // Auto-tune: measure occupancy at the default resolution. On skewed
-  // inputs most of the bounding box is empty, so the occupied cells hold
-  // far more than the target; shrinking the cell area by target/occupancy
-  // brings the occupied mean back to the target (clamped so the cell count
-  // stays O(n)).
-  Build(points, kDefaultTargetPerCell);
-  const double occupancy = MeanOccupancy();
-  if (occupancy > 1.5 * kDefaultTargetPerCell) {
-    const double tuned =
-        std::max(1.0, kDefaultTargetPerCell * (kDefaultTargetPerCell / occupancy));
-    // Skip the rebuild when the tuned target resolves to the resolution
-    // already built (degenerate extents clamp to the same cell geometry):
-    // re-binning the points would reproduce the CSR arrays bit for bit.
-    double cell = 0.0;
-    int cols = 0, rows = 0;
-    ResolutionFor(points.size(), tuned, &cell, &cols, &rows);
-    if (cell != cell_ || cols != cols_ || rows != rows_) Build(points, tuned);
+  for (std::size_t c = 0; c < num_cells; ++c) start_[c + 1] += start_[c];
+  std::vector<std::int32_t> cursor(start_.begin(), start_.end() - 1);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const auto slot = static_cast<std::size_t>(cursor[static_cast<std::size_t>(cell_of[i])]++);
+    items_[slot] = static_cast<std::int32_t>(i);
+    xs_[slot] = points[i].x;
+    ys_[slot] = points[i].y;
   }
 }
 
@@ -48,52 +49,6 @@ void UniformGrid::ResolutionFor(std::size_t n_points, double target_per_cell, do
   }
   *cols = std::max(1, static_cast<int>(std::ceil(w / *cell)));
   *rows = std::max(1, static_cast<int>(std::ceil(h / *cell)));
-}
-
-void UniformGrid::Build(const std::vector<Point>& points, double target_per_cell) {
-  ++build_count_;
-  ResolutionFor(points.size(), target_per_cell, &cell_, &cols_, &rows_);
-
-  const std::size_t num_cells = static_cast<std::size_t>(cols_) * static_cast<std::size_t>(rows_);
-  start_.assign(num_cells + 1, 0);
-  items_.resize(points.size());
-  xs_.resize(points.size());
-  ys_.resize(points.size());
-
-  cell_of_.resize(points.size());
-  slot_of_.resize(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    int cx = 0, cy = 0;
-    Locate(points[i], &cx, &cy);
-    cell_of_[i] = static_cast<std::int32_t>(CellIndex(cx, cy));
-    ++start_[static_cast<std::size_t>(cell_of_[i]) + 1];
-  }
-  for (std::size_t c = 0; c < num_cells; ++c) start_[c + 1] += start_[c];
-  std::vector<std::int32_t> cursor(start_.begin(), start_.end() - 1);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto slot = static_cast<std::size_t>(cursor[static_cast<std::size_t>(cell_of_[i])]++);
-    items_[slot] = static_cast<std::int32_t>(i);
-    xs_[slot] = points[i].x;
-    ys_[slot] = points[i].y;
-    slot_of_[i] = static_cast<std::int32_t>(slot);
-  }
-  nonempty_cells_.clear();
-  for (std::size_t c = 0; c < num_cells; ++c) {
-    if (start_[c + 1] > start_[c]) nonempty_cells_.push_back(static_cast<std::int32_t>(c));
-  }
-}
-
-std::size_t UniformGrid::NonEmptyCells() const {
-  std::size_t occupied = 0;
-  for (std::size_t c = 0; c + 1 < start_.size(); ++c) {
-    if (start_[c + 1] > start_[c]) ++occupied;
-  }
-  return occupied;
-}
-
-double UniformGrid::MeanOccupancy() const {
-  const std::size_t occupied = NonEmptyCells();
-  return occupied == 0 ? 0.0 : static_cast<double>(items_.size()) / static_cast<double>(occupied);
 }
 
 void UniformGrid::Locate(const Point& q, int* cx, int* cy) const {
@@ -151,95 +106,6 @@ UniformGrid::CellSlice UniformGrid::Cell(int cx, int cy) const {
   slice.count = end - begin;
   slice.first_slot = begin;
   return slice;
-}
-
-CellTauTable::CellTauTable(const UniformGrid& grid)
-    : grid_(&grid),
-      values_(grid.size(), 0.0),
-      floors_(grid.num_cells(), std::numeric_limits<double>::infinity()) {
-  for (const std::int32_t c : grid.nonempty_cells()) {
-    floors_[static_cast<std::size_t>(c)] = 0.0;
-  }
-}
-
-CellTauTable::CellTauTable(const UniformGrid& grid, const std::vector<double>& initial)
-    : grid_(&grid),
-      values_(grid.size()),
-      floors_(grid.num_cells(), std::numeric_limits<double>::infinity()) {
-  for (std::size_t i = 0; i < values_.size(); ++i) {
-    values_[grid.slot_of_point(i)] = initial[i];
-  }
-  for (const std::int32_t c : grid.nonempty_cells()) {
-    const auto cell = static_cast<std::size_t>(c);
-    double floor = values_[grid.cell_begin(cell)];
-    for (std::size_t s = grid.cell_begin(cell) + 1; s < grid.cell_end(cell); ++s) {
-      floor = std::min(floor, values_[s]);
-    }
-    floors_[cell] = floor;
-  }
-  // Cached global starts stale; the first GlobalFloor() call rescans.
-  global_dirty_ = !grid.nonempty_cells().empty();
-}
-
-void CellTauTable::Raise(std::size_t point_id, double value) {
-  if (value <= values_[grid_->slot_of_point(point_id)]) {
-    return;  // monotone contract: never lower a value
-  }
-  Set(point_id, value);
-}
-
-void CellTauTable::Remove(std::size_t point_id) {
-  Set(point_id, std::numeric_limits<double>::infinity());
-}
-
-void CellTauTable::Set(std::size_t point_id, double value) {
-  const std::size_t slot = grid_->slot_of_point(point_id);
-  const double old = values_[slot];
-  if (value == old) return;
-  values_[slot] = value;
-  const std::size_t cell = grid_->cell_of_point(point_id);
-  double floor = floors_[cell];
-  if (value < floor) {
-    // New cell minimum: no rescan needed, and the cached global can only
-    // move down to the same value.
-    floor = value;
-  } else if (old <= floors_[cell]) {
-    // The old value held the cell's minimum (old > floor means somebody
-    // else holds it and the floor is unaffected): rescan the residents.
-    // Removed residents read +infinity, so a fully-removed cell floors at
-    // +infinity exactly like an empty one.
-    const std::size_t end = grid_->cell_end(cell);
-    floor = values_[grid_->cell_begin(cell)];
-    for (std::size_t s = grid_->cell_begin(cell) + 1; s < end; ++s) {
-      floor = std::min(floor, values_[s]);
-    }
-  }
-  if (floor != floors_[cell]) {
-    if (!global_dirty_) {
-      if (floor < global_floor_) {
-        // Lowered below the cached global: the new global is exactly this.
-        global_floor_ = floor;
-      } else if (floors_[cell] == global_floor_) {
-        // The global floor is the min over cell floors; it can only move
-        // when the cell holding it moves, so defer the rescan until
-        // someone asks.
-        global_dirty_ = true;
-      }
-    }
-    floors_[cell] = floor;
-  }
-}
-
-double CellTauTable::GlobalFloor() {
-  if (global_dirty_) {
-    global_dirty_ = false;
-    global_floor_ = std::numeric_limits<double>::infinity();
-    for (const std::int32_t c : grid_->nonempty_cells()) {
-      global_floor_ = std::min(global_floor_, floors_[static_cast<std::size_t>(c)]);
-    }
-    if (grid_->nonempty_cells().empty()) global_floor_ = 0.0;
-  }
-  return global_floor_;
 }
 
 }  // namespace cca

@@ -6,12 +6,13 @@
 // caller can run the blocked distance kernel straight over a cell's slice
 // without gathering.
 //
-// Ring enumeration serves the spatially-pruned SSPA relax (src/flow): ring r
-// around a query point q is the set of cells at Chebyshev distance exactly r
-// from q's (clamped) cell. `RingTailMinDist(q, r)` lower-bounds the
-// Euclidean distance from q to every point stored in ring r *or any later
-// ring*, and is non-decreasing in r, which is what makes the early exit in
-// the relax loop sound (see src/flow/README.md).
+// Ring enumeration serves the exact solvers' grid NN stream (GridNnCursor,
+// src/geo/grid_cursor.h): ring r around a query point q is the set of cells
+// at Chebyshev distance exactly r from q's (clamped) cell.
+// `RingTailMinDist(q, r)` lower-bounds the Euclidean distance from q to
+// every point stored in ring r *or any later ring*, and is non-decreasing
+// in r, which is what lets a cursor certify a candidate before exhausting
+// the grid. The SSPA relax grid (geo/hier_grid.h) reuses the slice type.
 #ifndef CCA_GEO_GRID_H_
 #define CCA_GEO_GRID_H_
 
@@ -29,7 +30,7 @@ class UniformGrid {
   // A cell's contents: point ids plus the matching cell-clustered
   // coordinate slices (xs[i]/ys[i] are the coordinates of ids[i]).
   // `first_slot` is the slice's offset into the grid's clustered arrays, so
-  // side tables laid out in slot order (CellTauTable values) can be sliced
+  // side tables laid out in slot order (HierTauTable values) can be sliced
   // in lockstep with the coordinates.
   struct CellSlice {
     const std::int32_t* ids = nullptr;
@@ -44,12 +45,9 @@ class UniformGrid {
 
   // Builds the grid over `points`. `target_per_cell` tunes the resolution;
   // degenerate inputs (empty set, collinear points, all-equal points) fall
-  // back to a single row/column/cell. A non-positive `target_per_cell`
-  // auto-tunes the resolution from the instance's density: the grid is
-  // first built at the default resolution, and when the point set turns
-  // out skewed (occupied cells far above target because most of the
-  // bounding box is empty), it is rebuilt with a proportionally finer cell
-  // so the *occupied* cells land near the target again.
+  // back to a single row/column/cell. A `target_per_cell` below 1
+  // (including a non-positive one) falls to ResolutionFor's clamp at 1:
+  // about one point per cell.
   explicit UniformGrid(const std::vector<Point>& points,
                        double target_per_cell = kDefaultTargetPerCell);
 
@@ -58,16 +56,6 @@ class UniformGrid {
   int rows() const { return rows_; }
   double cell_size() const { return cell_; }
   const Rect& bounds() const { return bounds_; }
-
-  // Occupancy diagnostics (used by the auto-tuner and its tests).
-  std::size_t NonEmptyCells() const;
-  // Average number of points per *occupied* cell (0 for an empty grid).
-  double MeanOccupancy() const;
-  // CSR (re)builds performed so far: 1 for a fixed resolution, 2 when the
-  // auto-tuner rebuilt finer — and still 1 when the tuned target resolves
-  // to the resolution already built (degenerate extents), which the tuner
-  // skips as a no-op.
-  int build_count() const { return build_count_; }
 
   // Cell coordinates of `q`, clamped into the grid.
   void Locate(const Point& q, int* cx, int* cy) const;
@@ -87,51 +75,11 @@ class UniformGrid {
 
   CellSlice Cell(int cx, int cy) const;
 
-  // Row-major index of cell (cx, cy) in [0, cols*rows): the addressing
-  // contract for per-cell side tables (shared-frontier delivered/resident
-  // bitmaps and CellTauTable floors key on it).
+  // Row-major index of cell (cx, cy) in [0, cols*rows), the CSR key.
   std::size_t CellIndex(int cx, int cy) const {
     return static_cast<std::size_t>(cy) * static_cast<std::size_t>(cols_) +
            static_cast<std::size_t>(cx);
   }
-
-  std::size_t num_cells() const {
-    return static_cast<std::size_t>(cols_) * static_cast<std::size_t>(rows_);
-  }
-
-  // Linear-index flavours of the cell accessors, for callers that sweep
-  // cells without ring geometry (the cell-partitioned dense SSPA scan).
-  CellSlice Cell(std::size_t cell_index) const {
-    return Cell(static_cast<int>(cell_index % static_cast<std::size_t>(cols_)),
-                static_cast<int>(cell_index / static_cast<std::size_t>(cols_)));
-  }
-  Rect CellRect(std::size_t cell_index) const {
-    return CellRect(static_cast<int>(cell_index % static_cast<std::size_t>(cols_)),
-                    static_cast<int>(cell_index / static_cast<std::size_t>(cols_)));
-  }
-
-  // Inverse maps of the clustered layout: the cell holding point `i`, and
-  // the slot of point `i` inside the clustered arrays (items_/xs_/ys_ and
-  // any slot-ordered side table).
-  std::size_t cell_of_point(std::size_t i) const {
-    return static_cast<std::size_t>(cell_of_[i]);
-  }
-  std::size_t slot_of_point(std::size_t i) const {
-    return static_cast<std::size_t>(slot_of_[i]);
-  }
-
-  // Slot span [begin, end) of a cell inside the clustered arrays.
-  std::size_t cell_begin(std::size_t cell_index) const {
-    return static_cast<std::size_t>(start_[cell_index]);
-  }
-  std::size_t cell_end(std::size_t cell_index) const {
-    return static_cast<std::size_t>(start_[cell_index + 1]);
-  }
-
-  // Linear indices of the occupied cells, ascending (built once per
-  // (re)build; the dense cell sweep and CellTauTable's global-floor rescan
-  // iterate it instead of the full cols*rows lattice).
-  const std::vector<std::int32_t>& nonempty_cells() const { return nonempty_cells_; }
 
   // Calls fn(cx, cy, slice) for every non-empty cell of ring `ring` around
   // the (clamped) cell of `q`.
@@ -162,15 +110,10 @@ class UniformGrid {
   }
 
  private:
-  // Resolution Build would choose for `n` points at `target_per_cell`
-  // (pure function of bounds_ — lets the auto-tuner detect no-op rebuilds
-  // without touching the CSR arrays).
+  // Cell side and lattice shape for `n` points at `target_per_cell` (a
+  // pure function of bounds_; targets below 1 clamp to 1).
   void ResolutionFor(std::size_t n, double target_per_cell, double* cell, int* cols,
                      int* rows) const;
-
-  // (Re)builds the CSR layout at the given resolution; `bounds_` must
-  // already be set.
-  void Build(const std::vector<Point>& points, double target_per_cell);
 
   template <typename Fn>
   void VisitCell(int cx, int cy, Fn& fn) const {
@@ -182,87 +125,10 @@ class UniformGrid {
   double cell_ = 1.0;
   int cols_ = 1;
   int rows_ = 1;
-  int build_count_ = 0;
   std::vector<std::int32_t> start_;  // CSR: cell -> first slot, size cols*rows+1
   std::vector<std::int32_t> items_;  // point ids, clustered by cell
   std::vector<double> xs_;           // coordinates aligned with items_
   std::vector<double> ys_;
-  std::vector<std::int32_t> cell_of_;  // point id -> cell index
-  std::vector<std::int32_t> slot_of_;  // point id -> slot in items_/xs_/ys_
-  std::vector<std::int32_t> nonempty_cells_;  // occupied cell indices, ascending
-};
-
-// Per-cell floor of a per-point scalar that only ever increases (the SSPA
-// customer potentials tau_p), maintained incrementally. The table keeps
-//
-//   * `values()`: a slot-ordered copy of the scalar, aligned with the
-//     grid's clustered coordinate slices so a kernel can stream
-//     `values() + slice.first_slot` next to `slice.xs`/`slice.ys`;
-//   * `CellFloor(c)`: the exact min over cell c's residents (+infinity for
-//     empty cells), recomputed by an O(residents) slice scan only when the
-//     raised point held the cell's minimum;
-//   * `GlobalFloor()`: the exact min over all residents, re-derived from
-//     the per-cell floors only when the cell that held it moved.
-//
-// Soundness under monotone updates (the src/flow/README.md invariant): a
-// stored floor is the min of values current at some earlier time; values
-// never decrease, so it remains a lower bound on the cell's residents even
-// before the incremental recompute lands. This class keeps floors *exact*
-// after every Raise, but consumers only ever rely on the lower-bound
-// direction.
-// Population edits (warm-started serving engines, src/runtime/engine.h):
-// `Remove` masks a resident out of every floor (its value becomes
-// +infinity, so kernels streaming values() reject it for free) and
-// `Insert` re-admits one at an arbitrary value — both restore floor
-// exactness, including *lowering* floors, which the in-solve Raise cascade
-// never does. The contract is temporal, not structural: population edits
-// happen between solves, while a solve in flight only ever calls the
-// monotone Raise (src/geo/README.md).
-class CellTauTable {
- public:
-  explicit CellTauTable(const UniformGrid& grid);
-  // Seeded construction for warm starts: `initial[i]` is the starting
-  // value of point id `i` (must cover every indexed point; values are
-  // stored slot-ordered internally). Floors start exact over the seeds.
-  CellTauTable(const UniformGrid& grid, const std::vector<double>& initial);
-
-  // Raises point `point_id` to `value` (must be >= the stored value;
-  // lower values are ignored, keeping the monotone contract) and restores
-  // the exactness of the resident cell's floor.
-  void Raise(std::size_t point_id, double value);
-
-  // Removes point `point_id` from the population: its value becomes
-  // +infinity and its cell's floor is refloored exactly (a cell whose
-  // residents are all removed reads +infinity, like an empty cell).
-  void Remove(std::size_t point_id);
-
-  // (Re)admits point `point_id` at `value` — the inverse of Remove, also
-  // usable to overwrite a live value in either direction. Floors (cell and
-  // global) are lowered or refloored exactly as needed.
-  void Insert(std::size_t point_id, double value) { Set(point_id, value); }
-
-  // Exact min value over the residents of `cell_index` (+infinity when the
-  // cell is empty).
-  double CellFloor(std::size_t cell_index) const { return floors_[cell_index]; }
-
-  // Exact min value over every indexed point (0 for an empty grid); cached,
-  // rescanning the occupied cells' floors only after a Raise displaced it.
-  double GlobalFloor();
-
-  // Slot-ordered value array: values()[slice.first_slot + i] is the value
-  // of point slice.ids[i].
-  const double* values() const { return values_.data(); }
-
- private:
-  // Shared write path: assigns the value and restores cell/global floor
-  // exactness in whichever direction the assignment moved the minimum.
-  void Set(std::size_t point_id, double value);
-
-  const UniformGrid* grid_;
-  std::vector<double> values_;  // slot-ordered, aligned with grid slices
-  std::vector<double> floors_;  // per cell; +infinity when empty
-  double global_floor_ = 0.0;
-  bool global_dirty_ = false;
 };
 
 }  // namespace cca

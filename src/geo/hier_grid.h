@@ -6,8 +6,8 @@
 // (quadtree-style, but the split factor adapts per region instead of
 // recursing to a fixed depth). Sparse regions keep a single fine cell per
 // coarse cell, dense regions get up to max_split x max_split children — the
-// per-region answer to the flat auto-tuner's one-resolution-fits-all
-// mis-sizing on skewed inputs.
+// per-region answer to a flat grid's one-resolution-fits-all mis-sizing on
+// skewed inputs.
 //
 // The coarse level carries the aggregates the SSPA pruning stack consumes
 // (see src/geo/README.md for the contract):
@@ -15,9 +15,9 @@
 //   * occupancy: a coarse cell's resident count is O(1) (its children's
 //     slots are contiguous), so whole coarse tails are accounted without
 //     touching children;
-//   * tau floors: `HierTauTable` maintains the per-fine-cell floor of the
-//     monotonically raised customer potentials exactly like CellTauTable,
-//     plus a per-coarse floor = min over the cell's children, so the relax
+//   * tau floors: `HierTauTable` maintains the exact per-fine-cell floor
+//     (min) of the monotonically raised customer potentials, plus a
+//     per-coarse floor = min over the cell's children, so the relax
 //     loops can reject an entire coarse cell with one compare
 //     (mindist(coarse) + coarse_floor >= upper bound) instead of s^2 fine
 //     checks.
@@ -185,38 +185,36 @@ class HierarchicalGrid {
 };
 
 // Two-level floor table of a per-point scalar that only ever increases (the
-// SSPA customer potentials tau_p), the hierarchical sibling of
-// CellTauTable. Fine floors follow the same incremental recipe (a raise
-// refloors its fine cell only when it held the min); a changed fine floor
-// propagates into its coarse cell's floor the same way, and the cached
-// global floor rescans coarse floors only when displaced. The aggregation
-// invariant consumers rely on — CoarseFloor(c) <= FineFloor(f) for every
-// child f, and every floor is a lower bound on its residents' values — is
-// maintained exactly (src/geo/README.md spells out why that makes the
-// coarse-tail rejection sound under in-flight monotone raises).
-// Population edits follow the CellTauTable contract (src/geo/grid.h):
-// `Remove`/`Insert` mask residents out of (or re-admit them into) every
-// floor level with exact refloors in both directions, and are only legal
-// *between* solves — a solve in flight stays on the monotone Raise.
+// SSPA customer potentials tau_p within one solve). It keeps
+//
+//   * `values()`: a slot-ordered copy of the scalar, aligned with the
+//     grid's clustered fine-cell slices so a kernel can stream
+//     `values() + slice.first_slot` next to `slice.xs`/`slice.ys`;
+//   * `FineFloor(f)`: the exact min over fine cell f's residents
+//     (+infinity when empty), rescanned by one O(residents) slice pass only
+//     when a raise lifted the value that held it;
+//   * `CoarseFloor(c)`: the exact min over c's child fine floors, rescanned
+//     only when the child holding it moved;
+//   * `GlobalFloor()`: the exact min over everything, re-derived from the
+//     coarse floors only when the coarse cell holding it moved.
+//
+// The aggregation invariant consumers rely on — CoarseFloor(c) <=
+// FineFloor(f) for every child f, and every floor is a lower bound on its
+// residents' values — is maintained exactly (src/geo/README.md spells out
+// why that makes the coarse-tail rejection sound under in-flight monotone
+// raises). The table lives for one solve; the next solve builds a fresh
+// one from its starting duals.
 class HierTauTable {
  public:
-  explicit HierTauTable(const HierarchicalGrid& grid);
-  // Seeded construction for warm starts: `initial[i]` seeds point id `i`;
-  // fine and coarse floors start exact over the seeds.
+  // `initial[i]` is the starting value of point id `i` (must cover every
+  // indexed point; all zeros for a cold solve). Fine and coarse floors
+  // start exact over it.
   HierTauTable(const HierarchicalGrid& grid, const std::vector<double>& initial);
 
-  // Raises point `point_id` to `value` (lower values are ignored, keeping
-  // the monotone contract) and restores the exactness of its fine and
-  // coarse floors.
+  // Raises point `point_id` to `value` (values not above the stored one
+  // are ignored, keeping the monotone contract) and restores the
+  // exactness of its fine, coarse and global floors.
   void Raise(std::size_t point_id, double value);
-
-  // Removes point `point_id` from the population: its value becomes
-  // +infinity and the fine -> coarse -> global floors refloor exactly.
-  void Remove(std::size_t point_id);
-
-  // (Re)admits point `point_id` at `value`, lowering or reflooring every
-  // level as needed.
-  void Insert(std::size_t point_id, double value) { Set(point_id, value); }
 
   double FineFloor(std::size_t f) const { return fine_floors_[f]; }
   double CoarseFloor(std::size_t c) const { return coarse_floors_[c]; }
@@ -229,10 +227,6 @@ class HierTauTable {
   const double* values() const { return values_.data(); }
 
  private:
-  // Shared write path: assigns the value and restores fine/coarse/global
-  // floor exactness in whichever direction the minima moved.
-  void Set(std::size_t point_id, double value);
-
   const HierarchicalGrid* grid_;
   std::vector<double> values_;         // slot-ordered
   std::vector<double> fine_floors_;    // per fine cell; +infinity when empty

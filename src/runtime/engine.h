@@ -18,20 +18,17 @@
 //     aligned with the point sets: removals drop the
 //     entry, an inserted customer is seeded at the smallest value feasible
 //     against every provider dual (max_q(tau_q - dist), clamped at 0), an
-//     inserted provider at the largest (a tau-augmented nearest-neighbour
-//     query, min_p(dist + tau_p), served by the retained cell-floor
-//     table). The solver's own repair pass remains the safety net, so
-//     seed quality affects only speed — never the matching
-//     (src/runtime/README.md has the soundness argument).
-//   * Index invalidation by population version. The customer grid (the
-//     hierarchical relax grid, when the ring scan is configured) is
-//     rebuilt only on a Resolve that follows a customer insert/remove and
-//     is shared with the solver via SspaConfig::shared_hier_grid; provider
-//     churn never invalidates it. The engine-side nearest-neighbour
-//     bookkeeping (grid + CellTauTable) follows the same policy, with
-//     customer removals masked incrementally via CellTauTable::Remove and
-//     post-snapshot inserts served from a linear side list until the next
-//     rebuild folds them in.
+//     inserted provider at the largest (min_p(dist + tau_p)); both seeds
+//     are one linear scan over the other side's retained duals. The
+//     solver's own repair pass remains the safety net, so seed quality
+//     affects only speed — never the matching (src/runtime/README.md has
+//     the soundness argument).
+//   * Index invalidation by population change. The engine keeps one
+//     customer index, the solver's hierarchical relax grid (none when the
+//     index-free reference path is configured). It is rebuilt only on a
+//     Resolve that follows a customer insert/remove and is shared with the
+//     solver via SspaConfig::shared_hier_grid; provider churn never
+//     invalidates it.
 //
 // Correctness anchor: a warm-started Resolve is cost-identical to a cold
 // solve of the same snapshot. Debug builds assert it on every Resolve
@@ -57,7 +54,6 @@
 #include "core/matching.h"
 #include "core/problem.h"
 #include "flow/sspa.h"
-#include "geo/grid.h"
 #include "geo/hier_grid.h"
 
 namespace cca {
@@ -216,18 +212,10 @@ class AssignmentEngine {
   std::vector<FlowRec> last_flow_;
   bool have_solution_ = false;
 
-  // Shared relax grid over the customers, rebuilt only when the customer
-  // population changed since it was built (null with use_grid off: the
-  // reference path builds no index).
+  // The engine's only customer index: the solver's relax grid, rebuilt
+  // only when the customer population changed since it was built (null
+  // with use_grid off: the reference path builds no index).
   std::unique_ptr<HierarchicalGrid> solve_hier_;
-  // Engine-side tau-augmented NN bookkeeping: a flat grid over the
-  // customers as of the last Resolve plus the cell floors of their duals.
-  // `nn_slot_[i]` is customer i's point id in that snapshot (-1 = inserted
-  // after it; served from the linear side scan until the next rebuild).
-  std::unique_ptr<UniformGrid> nn_grid_;
-  std::unique_ptr<CellTauTable> nn_floors_;
-  std::vector<std::int32_t> nn_slot_;
-  std::size_t nn_pending_ = 0;  // customers with nn_slot_ == -1 (side scan)
   bool customers_dirty_ = true;
 
   Stats stats_;

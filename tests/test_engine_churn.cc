@@ -5,6 +5,7 @@
 // distribution and unit/weighted customers.
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -364,6 +365,77 @@ TEST(EngineChurn, StableIdsAcrossSwapRemove) {
       }
     }
     EXPECT_TRUE(found) << "id " << ids[i];
+  }
+}
+
+// An inserted provider's dual seeds at the largest value feasible against
+// every customer: max(0, min_p dist(pos, p) + tau_p). The engine computes
+// it by a linear scan over the retained duals, so the seed must equal the
+// brute-force min bit for bit — after warm resolves, customer removals and
+// customers inserted since the last Resolve (whose duals are their own
+// arrival seeds), with and without the relax grid.
+TEST(EngineChurn, InsertedProviderSeedIsExactMinOverCustomers) {
+  const auto expect_exact_seed = [](AssignmentEngine* engine, const Point& pos) {
+    ASSERT_TRUE(engine->InsertProvider(pos, 3).ok());
+    const Problem& problem = engine->problem();
+    const SspaPotentials& duals = engine->potentials();
+    double best = std::numeric_limits<double>::infinity();
+    for (std::size_t p = 0; p < problem.customers.size(); ++p) {
+      best = std::min(best, Distance(pos, problem.customers[p]) + duals.tau_p[p]);
+    }
+    ASSERT_FALSE(problem.customers.empty());
+    EXPECT_EQ(duals.tau_q.back(), std::max(0.0, best));
+  };
+  for (const bool use_grid : {true, false}) {
+    for (const Dist dist : {Dist::kUniform, Dist::kClustered}) {
+      SCOPED_TRACE(::testing::Message() << "use_grid=" << use_grid
+                                        << " clustered=" << (dist == Dist::kClustered));
+      AssignmentEngine::Options options;
+      options.sspa.use_grid = use_grid;
+      AssignmentEngine engine(options);
+      const auto customer_pool = MakePoints(dist, 600, 91);
+      const auto provider_pool = MakePoints(dist, 40, 92);
+      Rng rng(93);
+      std::size_t next_customer = 0, next_provider = 0;
+      // Live customer ids and their positions, kept aligned.
+      std::vector<AssignmentEngine::Id> ids;
+      std::vector<Point> positions;
+      const auto insert_customer = [&] {
+        positions.push_back(customer_pool[next_customer++]);
+        ids.push_back(engine.InsertCustomer(positions.back()).value());
+      };
+      // Removes `n` random customers; returns the last one's position.
+      const auto remove_some = [&](int n) {
+        Point last{};
+        for (int j = 0; j < n; ++j) {
+          const std::size_t i = rng.NextBelow(ids.size());
+          EXPECT_TRUE(engine.RemoveCustomer(ids[i]));
+          last = positions[i];
+          ids[i] = ids.back();
+          ids.pop_back();
+          positions[i] = positions.back();
+          positions.pop_back();
+        }
+        return last;
+      };
+      for (int q = 0; q < 8; ++q) engine.InsertProvider(provider_pool[next_provider++], 40);
+      for (int p = 0; p < 300; ++p) insert_customer();
+      engine.Resolve();
+      for (int round = 0; round < 4; ++round) {
+        remove_some(10);
+        EXPECT_TRUE(engine.Resolve().warm);
+        expect_exact_seed(&engine, provider_pool[next_provider++]);
+        // Seeds right on top of a customer inserted since the Resolve (its
+        // dual is its own arrival seed) and of a departed one (which must
+        // no longer count) make those customers decide the min.
+        for (int j = 0; j < 12; ++j) insert_customer();
+        const Point inserted = positions.back();
+        const Point removed = remove_some(5);
+        expect_exact_seed(&engine, inserted);
+        expect_exact_seed(&engine, removed);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
   }
 }
 

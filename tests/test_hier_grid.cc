@@ -187,8 +187,8 @@ TEST(HierRingCursorTest, CoversEveryCoarseCellWithSoundTailBound) {
 TEST(HierTauTableTest, FloorsStayExactUnderRandomizedRaises) {
   const auto pts = SkewedPoints(600, 51);
   const HierarchicalGrid grid(pts);
-  HierTauTable table(grid);
   std::vector<double> truth(pts.size(), 0.0);
+  HierTauTable table(grid, truth);  // a cold solve's all-zero start
   Rng rng(99);
   for (int step = 0; step < 3000; ++step) {
     const std::size_t id = static_cast<std::size_t>(rng.NextBelow(pts.size()));
@@ -223,11 +223,63 @@ TEST(HierTauTableTest, FloorsStayExactUnderRandomizedRaises) {
   }
 }
 
-// Between-solve population edits (the AssignmentEngine contract): seeded
-// construction starts exact at every level, and Remove / Insert refloor
-// fine -> coarse -> global exactly in both directions — including a fine
-// cell whose residents are all removed reading +infinity.
-TEST(HierTauTableTest, SeededEditsRefloorEveryLevelExactly) {
+// Hand-built geometry: clump A (3 points) splits its coarse cell, clump B
+// (2 points) sits in the opposite corner, every other coarse cell is empty.
+// A zero-seeded table floors occupied fine and coarse cells at 0 and empty
+// ones at +infinity; raising the clump that holds the global minimum moves
+// the global floor to the other coarse cell.
+TEST(HierTauTableTest, FloorsTrackOccupancyAndDisplacedGlobalMin) {
+  const std::vector<Point> pts{{0, 0}, {1, 1}, {2, 2}, {900, 900}, {899, 899}};
+  HierarchicalGrid::Options options;
+  options.coarse_target_per_cell = 1.0;
+  options.fine_target_per_cell = 1.0;
+  options.split_threshold = 2;
+  const HierarchicalGrid grid(pts, options);
+  HierTauTable table(grid, std::vector<double>(pts.size(), 0.0));
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::size_t coarse_a = grid.coarse_of_point(0);
+  const std::size_t coarse_b = grid.coarse_of_point(3);
+  ASSERT_NE(coarse_a, coarse_b);
+  ASSERT_EQ(grid.coarse_of_point(2), coarse_a);
+  ASSERT_EQ(grid.coarse_of_point(4), coarse_b);
+  ASSERT_GT(grid.split(coarse_a), 1);
+  std::size_t empty_fine_in_occupied = 0, empty_coarse = 0;
+  for (std::size_t c = 0; c < grid.num_coarse(); ++c) {
+    const bool occupied = grid.coarse_count(c) > 0;
+    EXPECT_EQ(table.CoarseFloor(c), occupied ? 0.0 : inf) << "coarse " << c;
+    if (!occupied) ++empty_coarse;
+    for (std::size_t f = grid.fine_begin(c); f < grid.fine_end(c); ++f) {
+      const bool fine_occupied = grid.fine_cell_end(f) > grid.fine_cell_begin(f);
+      EXPECT_EQ(table.FineFloor(f), fine_occupied ? 0.0 : inf) << "fine " << f;
+      if (occupied && !fine_occupied) ++empty_fine_in_occupied;
+    }
+  }
+  EXPECT_GT(empty_coarse, 0u);
+  EXPECT_GT(empty_fine_in_occupied, 0u);  // A's split left empty children
+
+  table.Raise(3, 4.0);
+  table.Raise(4, 6.0);
+  EXPECT_EQ(table.CoarseFloor(coarse_b), 4.0);
+  EXPECT_EQ(table.GlobalFloor(), 0.0);  // clump A still at 0
+  table.Raise(0, 10.0);
+  table.Raise(1, 11.0);
+  EXPECT_EQ(table.GlobalFloor(), 0.0);  // point 2 still holds A's floor
+  table.Raise(2, 12.0);
+  EXPECT_EQ(table.CoarseFloor(coarse_a), 10.0);
+  EXPECT_EQ(table.GlobalFloor(), 4.0);  // the min moved to clump B
+  table.Raise(3, 20.0);
+  EXPECT_EQ(table.GlobalFloor(), 6.0);
+
+  // An empty grid's global floor is 0, not +infinity.
+  const HierarchicalGrid empty(std::vector<Point>{});
+  HierTauTable empty_table(empty, {});
+  EXPECT_EQ(empty_table.GlobalFloor(), 0.0);
+}
+
+// Seeded construction (a warm solve's starting duals) starts exact at every
+// level, and randomized monotone raises from arbitrary seeds keep the
+// fine, coarse and global floors exact.
+TEST(HierTauTableTest, SeededConstructionThenRaisesStayExact) {
   const auto pts = ClusteredPoints(400, 57);
   const HierarchicalGrid grid(pts);
   std::vector<double> truth(pts.size());
@@ -238,30 +290,29 @@ TEST(HierTauTableTest, SeededEditsRefloorEveryLevelExactly) {
     std::vector<double> fine_truth(grid.num_fine(), std::numeric_limits<double>::infinity());
     for (std::size_t i = 0; i < pts.size(); ++i) {
       fine_truth[grid.fine_of_point(i)] = std::min(fine_truth[grid.fine_of_point(i)], truth[i]);
+      ASSERT_EQ(table.values()[grid.slot_of_point(i)], truth[i]);
     }
     double global_truth = std::numeric_limits<double>::infinity();
     for (std::size_t c = 0; c < grid.num_coarse(); ++c) {
       double coarse_truth = std::numeric_limits<double>::infinity();
       for (std::size_t f = grid.fine_begin(c); f < grid.fine_end(c); ++f) {
-        ASSERT_DOUBLE_EQ(table.FineFloor(f), fine_truth[f]);
+        ASSERT_EQ(table.FineFloor(f), fine_truth[f]);
         coarse_truth = std::min(coarse_truth, fine_truth[f]);
       }
-      ASSERT_DOUBLE_EQ(table.CoarseFloor(c), coarse_truth);
+      ASSERT_EQ(table.CoarseFloor(c), coarse_truth);
       global_truth = std::min(global_truth, coarse_truth);
     }
-    ASSERT_DOUBLE_EQ(table.GlobalFloor(), global_truth);
+    ASSERT_EQ(table.GlobalFloor(), global_truth);
   };
-  check_exact();  // seeded construction is exact before any edit
-  for (int round = 0; round < 150; ++round) {
+  check_exact();  // seeded construction is exact before any raise
+  for (int round = 0; round < 600; ++round) {
     const std::size_t i = static_cast<std::size_t>(rng.NextBelow(pts.size()));
-    if (rng.NextDouble() < 0.4) {
-      truth[i] = std::numeric_limits<double>::infinity();
-      table.Remove(i);
-    } else {
-      truth[i] = rng.Uniform(0.0, 40.0);  // may lower OR raise a live value
-      table.Insert(i, truth[i]);
-    }
-    if (round % 25 == 24) check_exact();
+    // Mostly raises, sometimes a stale lower value (must be a no-op).
+    const double value = rng.NextDouble() < 0.8 ? truth[i] + rng.Uniform(0.0, 10.0)
+                                                : truth[i] - rng.Uniform(0.0, 10.0);
+    table.Raise(i, value);
+    truth[i] = std::max(truth[i], value);
+    if (round % 50 == 49) check_exact();
   }
 }
 

@@ -24,7 +24,12 @@ fails when
     growth) over the baseline. Counters are exact re-runs of deterministic
     code, so the slack only absorbs intentional small drifts; raise it in
     CI alongside a justifying comment when a PR deliberately trades one
-    counter for another.
+    counter for another, or
+  * a gated counter present in the baseline row is missing from the
+    matched new row -- the same reason as the new-only-row error: a
+    renamed or dropped counter would otherwise switch its gate off
+    silently. (A counter only the new row carries is fine: nothing to
+    compare it against yet.)
 
 Timing fields are reported but never gated: wall clock is machine-
 dependent, the work counters are not.
@@ -141,7 +146,12 @@ def main():
                 failures.append(
                     f"{label}: cost {new['cost']} != baseline {base['cost']}")
         for counter in COUNTER_KEYS:
-            if counter not in new or counter not in base:
+            if counter not in base:
+                continue
+            if counter not in new:
+                failures.append(
+                    f"{label}: gated counter {counter} is in the baseline "
+                    "but missing from the new row")
                 continue
             limit = base[counter] * (1.0 + args.relax_slack)
             if new[counter] > limit:
