@@ -25,7 +25,7 @@
 
 namespace cca {
 
-class UniformGrid;
+class HierarchicalGrid;
 
 // Candidate-discovery backend for the exact solvers (see src/core/README.md
 // for the layer contract). All backends yield cost-identical matchings;
@@ -33,8 +33,9 @@ class UniformGrid;
 //
 //   kRTreePlain    one independent best-first NN iterator per provider,
 //   kRTreeGrouped  the paper's shared Hilbert-grouped ANN traversal (3.4.2),
-//   kGrid          uniform-grid ring cursors over the raw point array
-//                  (memory-resident customers: no R-tree, no page I/O).
+//   kGrid          grid NN cursors over an unsplit hierarchical grid of the
+//                  raw point array (memory-resident customers: no R-tree,
+//                  no page I/O).
 enum class DiscoveryBackend {
   kRTreePlain,
   kRTreeGrouped,
@@ -57,10 +58,10 @@ struct ExactConfig {
   // Prebuilt streaming grid for the kGrid backend, owned by the caller
   // (the runtime's SharedIndex builds one per customer set and shares it
   // across concurrent queries). Must cover the same points the solver is
-  // given, at kNnStreamTargetPerCell (core/nn_source.h); null means each
-  // solve builds (and owns) a private grid. The grid is read-only during
-  // solves, so sharing is safe.
-  const UniformGrid* shared_stream_grid = nullptr;
+  // given, built with NnStreamGridOptions() (core/nn_source.h); null means
+  // each solve builds (and owns) a private grid. The grid is read-only
+  // during solves, so sharing is safe.
+  const HierarchicalGrid* shared_stream_grid = nullptr;
 };
 
 struct ExactResult {

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "core/customer_db.h"
-#include "geo/grid.h"
 #include "geo/grid_cursor.h"
 #include "rtree/ann_iterator.h"
 #include "rtree/nn_iterator.h"
@@ -63,10 +62,10 @@ class GroupedNnSource : public NnSource {
 class GridNnSource : public NnSource {
  public:
   GridNnSource(const std::vector<Point>& customers, const std::vector<Provider>& providers,
-               const UniformGrid* shared_grid, Metrics* metrics)
+               const HierarchicalGrid* shared_grid, Metrics* metrics)
       : owned_grid_(shared_grid != nullptr
                         ? nullptr
-                        : std::make_unique<UniformGrid>(customers, kNnStreamTargetPerCell)),
+                        : std::make_unique<HierarchicalGrid>(customers, NnStreamGridOptions())),
         grid_(shared_grid != nullptr ? shared_grid : owned_grid_.get()),
         metrics_(metrics) {
     cursors_.reserve(providers.size());
@@ -101,8 +100,8 @@ class GridNnSource : public NnSource {
   }
 
  private:
-  std::unique_ptr<UniformGrid> owned_grid_;  // null when borrowing
-  const UniformGrid* grid_;
+  std::unique_ptr<HierarchicalGrid> owned_grid_;  // null when borrowing
+  const HierarchicalGrid* grid_;
   Metrics* metrics_;
   std::vector<GridNnCursor> cursors_;
 };

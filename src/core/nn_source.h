@@ -10,22 +10,26 @@
 //                      provider;
 //   * GroupedNnSource  the shared Hilbert-grouped ANN traversal of paper
 //                      Section 3.4.2;
-//   * GridNnSource     uniform-grid ring cursors over the memory-resident
-//                      customer array (src/geo/grid_cursor.h) — no R-tree
-//                      nodes are touched and no page I/O is charged.
+//   * GridNnSource     grid NN cursors over an unsplit hierarchical grid of
+//                      the memory-resident customer array
+//                      (src/geo/grid_cursor.h) — no R-tree nodes are
+//                      touched and no page I/O is charged.
 //
 // The concrete classes live in nn_source.cc; callers go through the
 // factory, which dispatches on ExactConfig::discovery_backend.
 #ifndef CCA_CORE_NN_SOURCE_H_
 #define CCA_CORE_NN_SOURCE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 
 #include "common/metrics.h"
 #include "core/exact.h"
 #include "core/problem.h"
+#include "geo/hier_grid.h"
 
 namespace cca {
 
@@ -56,6 +60,18 @@ class NnSource {
 // heap, so fat cells simply amortise the per-fetch cost — one fetch is one
 // contiguous SoA scan, the grid analogue of reading an R-tree leaf page.
 inline constexpr double kNnStreamTargetPerCell = 256.0;
+
+// Options of the kGrid backend's streaming grid: one lattice at
+// kNnStreamTargetPerCell with splitting switched off, so every coarse cell
+// is its own single fine cell (a flat grid). The one definition both a
+// per-solve build (MakeNnSource) and SharedIndex use, the way
+// RelaxGridOptions (flow/sspa.h) serves the relax grid.
+inline HierarchicalGrid::Options NnStreamGridOptions() {
+  HierarchicalGrid::Options opts;
+  opts.coarse_target_per_cell = kNnStreamTargetPerCell;
+  opts.split_threshold = std::numeric_limits<std::size_t>::max();
+  return opts;
+}
 
 // Factory honouring ExactConfig::discovery_backend. The grid backend reads
 // `db->points()` and reports its cursor cells into `metrics`

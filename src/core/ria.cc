@@ -9,14 +9,13 @@
 //
 // The annular batches are served by the configured discovery backend. The
 // R-tree path issues one AnnularRangeSearch per provider per batch. The
-// grid paths (memory-resident customer sets) hold a grid NnSource — per
-// provider cursors, or the batched shared frontier — and, per
-// batch, drain each provider's stream up to the new T against
-// PeekDistance(): successive annuli are nested (each batch's lo equals the
-// previous hi), so resuming the incremental NN stream yields exactly the
-// (lo, hi] batch without ever re-fetching inner-disk cells, charges no
-// page I/O, and keeps the grid semantics and cell accounting in
-// nn_source.cc alone.
+// grid path (memory-resident customer sets) holds a grid NnSource — one
+// NN cursor per provider — and, per batch, drains each provider's stream
+// up to the new T against PeekDistance(): successive annuli are nested
+// (each batch's lo equals the previous hi), so resuming the incremental NN
+// stream yields exactly the (lo, hi] batch without ever re-fetching
+// inner-disk cells, charges no page I/O, and keeps the grid semantics and
+// cell accounting in nn_source.cc alone.
 #include <cassert>
 #include <memory>
 

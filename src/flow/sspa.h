@@ -61,9 +61,9 @@ struct SspaConfig {
   bool use_grid = true;
   // Fine resolution of the ring scan's hierarchical grid: average
   // customers per fine cell; the coarse level aims for 16x that. <= 0
-  // means the default resolution (UniformGrid::kDefaultTargetPerCell, the
-  // same 4.0), not an auto-tuned one: the hierarchy adapts per region by
-  // splitting overfull coarse cells instead.
+  // means the default resolution (HierarchicalGrid::kDefaultTargetPerCell,
+  // the same 4.0), not an auto-tuned one: the hierarchy adapts per region
+  // by splitting overfull coarse cells instead.
   double grid_target_per_cell = 4.0;
   // Coarse-cell occupancy above which the builder splits the cell into
   // finer children; 0 auto-derives 4x the fine target per cell.

@@ -1,5 +1,4 @@
-// Stateful candidate-discovery cursors over the uniform and hierarchical
-// grids.
+// Stateful candidate-discovery cursors over the hierarchical grid.
 //
 // This is the shared primitive behind every grid-backed discovery path:
 // the SSPA ring scan (HierRingCursor, src/flow/sspa.cc), the grid NN
@@ -7,22 +6,23 @@
 // RIA's grid-backed annular range search. The contract (see
 // src/core/README.md):
 //
-//   * `GridRingCursor` enumerates the non-empty cells around one query
-//     point in expanding Chebyshev rings, cells within a ring served in
-//     ascending MinDist(query, cell) order. `TailMinDist()` is a certified
-//     lower bound on dist(query, p) for every point in a cell that has not
-//     been returned yet, and is non-decreasing across NextCell() calls.
-//   * `GridNnCursor` refines the cell stream into an exact incremental
-//     nearest-neighbour stream (non-decreasing point distances) by holding
-//     fetched points in a candidate heap and serving the top as soon as its
-//     distance is within `TailMinDist()`.
+//   * `HierRingCursor` enumerates the occupied coarse cells around one
+//     query point in expanding Chebyshev rings, cells within a ring served
+//     in ascending MinDist(query, cell) order. `TailMinDist()` is a
+//     certified lower bound on dist(query, p) for every point in a coarse
+//     cell that has not been returned yet, and is non-decreasing across
+//     NextCoarse() calls.
+//   * `GridNnCursor` refines that coarse-cell stream into an exact
+//     incremental nearest-neighbour stream (non-decreasing point
+//     distances) by holding every fetched point in a candidate heap and
+//     serving the top as soon as its distance is within `TailMinDist()`.
 // (RIA's nested annular batches need no separate range primitive: the
 // grid backend drains a persistent NN stream per provider up to each new
 // T, so inner cells are never re-fetched across batches — see
 // src/core/ria.cc.)
 //
-// The UniformGrid cursors report the number of cells fetched so backends
-// can be compared apples-to-apples against R-tree node accesses
+// GridNnCursor reports the number of coarse cells fetched so backends can
+// be compared apples-to-apples against R-tree node accesses
 // (Metrics::grid_cursor_cells / Metrics::index_node_accesses).
 #ifndef CCA_GEO_GRID_CURSOR_H_
 #define CCA_GEO_GRID_CURSOR_H_
@@ -34,7 +34,6 @@
 #include <utility>
 #include <vector>
 
-#include "geo/grid.h"
 #include "geo/hier_grid.h"
 #include "geo/point.h"
 #include "geo/rect.h"
@@ -53,101 +52,13 @@ struct NnCandidateFarther {
   }
 };
 
-class GridRingCursor {
- public:
-  struct CellView {
-    int cx = 0;
-    int cy = 0;
-    int ring = 0;
-    std::size_t cell = 0;   // UniformGrid::CellIndex(cx, cy), the side-table key
-    double min_dist = 0.0;  // MinDist(query, cell rect)
-    UniformGrid::CellSlice slice;
-  };
-
-  GridRingCursor(const UniformGrid& grid, const Point& query);
-
-  // Rewinds the cursor onto a new query point, reusing the ring buffer's
-  // capacity — hot loops (one relax per provider pop in SSPA) reset one
-  // cursor instead of constructing fresh ones.
-  void Reset(const Point& query);
-
-  // Lower bound on dist(query, p) over every point not yet returned by
-  // NextCell(); +infinity once the grid is exhausted. Non-decreasing.
-  // Remaining cells are the still-buffered cells of the current ring
-  // (sorted by min_dist, so the head is their minimum) and everything in
-  // later rings (next_ring_bound_, cached once per ring fill — this sits
-  // on the per-cell hot path of the SSPA relax).
-  double TailMinDist() const {
-    if (exhausted_) return std::numeric_limits<double>::infinity();
-    return pos_ < buffer_.size() ? std::min(buffer_[pos_].min_dist, next_ring_bound_)
-                                 : next_ring_bound_;
-  }
-
-  bool exhausted() const { return exhausted_; }
-
-  // Next non-empty cell, or nullopt when every cell has been served.
-  std::optional<CellView> NextCell();
-
-  // Total points held by cells not yet returned (for prune accounting).
-  std::size_t points_remaining() const { return points_remaining_; }
-
-  // Number of cells fetched so far (the grid analogue of node accesses).
-  std::uint64_t cells_visited() const { return cells_visited_; }
-
- private:
-  // Buffers the cells of the next non-empty ring, sorted by min_dist;
-  // marks the cursor exhausted when no ring remains.
-  void FillRing();
-
-  const UniformGrid* grid_;
-  Point query_;
-  int ring_ = 0;
-  int max_ring_ = 0;
-  bool exhausted_ = false;
-  double next_ring_bound_ = 0.0;  // RingTailMinDist(query, ring_ + 1)
-  std::size_t pos_ = 0;
-  std::size_t points_remaining_ = 0;
-  std::uint64_t cells_visited_ = 0;
-  std::vector<CellView> buffer_;
-};
-
-// Exact incremental NN stream over a grid: Next() yields (point id,
-// distance) pairs in non-decreasing distance order until the grid is
-// exhausted. Equal-distance candidates already fetched are served in
-// ascending id order (the stream is deterministic; ties spanning a
-// not-yet-fetched cell are served in fetch order).
-class GridNnCursor {
- public:
-  GridNnCursor(const UniformGrid& grid, const Point& query);
-
-  std::optional<std::pair<std::int32_t, double>> Next();
-
-  // Distance the next Next() would return (+infinity when exhausted); may
-  // fetch cells to find out, like NnIterator::PeekDistance.
-  double PeekDistance();
-
-  std::uint64_t cells_visited() const { return cells_.cells_visited(); }
-
- private:
-  // Fetches cells until the heap top is certified (<= TailMinDist) or the
-  // grid drains.
-  void Refine();
-
-  GridRingCursor cells_;
-  Point query_;
-  std::priority_queue<NnCandidate, std::vector<NnCandidate>, NnCandidateFarther> heap_;
-};
-
-// Coarse-level ring cursor over a HierarchicalGrid (geo/hier_grid.h): the
-// hierarchical sibling of GridRingCursor, enumerating occupied *coarse*
-// cells in expanding coarse rings, nearest-first within a ring. A served
-// CoarseView carries the O(1) aggregates (resident count, fine-child id
-// range); the consumer decides per coarse cell whether to reject its whole
-// tail on the aggregated bound or descend into FineCell() slices — that
-// split is what makes the SSPA coarse-tail exit O(1) per rejected region
-// (see src/geo/README.md). TailMinDist() keeps the GridRingCursor contract:
-// a non-decreasing certified lower bound on dist(query, p) over every point
-// in a coarse cell not yet returned.
+// Coarse-level ring cursor over a HierarchicalGrid (geo/hier_grid.h),
+// enumerating occupied *coarse* cells in expanding coarse rings,
+// nearest-first within a ring. A served CoarseView carries the O(1)
+// aggregates (resident count, fine-child id range); the consumer decides
+// per coarse cell whether to reject its whole tail on the aggregated bound
+// or descend into FineCell() slices — that split is what makes the SSPA
+// coarse-tail exit O(1) per rejected region (see src/geo/README.md).
 class HierRingCursor {
  public:
   struct CoarseView {
@@ -200,6 +111,37 @@ class HierRingCursor {
   std::size_t points_remaining_ = 0;
   std::uint64_t coarse_visited_ = 0;
   std::vector<CoarseView> buffer_;
+};
+
+// Exact incremental NN stream over a hierarchical grid: Next() yields
+// (point id, distance) pairs in non-decreasing distance order until the
+// grid is exhausted. Each coarse cell the ring cursor serves has every
+// fine child slice pushed into the candidate heap, so the stream is exact
+// on split and unsplit grids alike. Equal-distance candidates already
+// fetched are served in ascending id order (the stream is deterministic;
+// ties spanning a not-yet-fetched cell are served in fetch order).
+class GridNnCursor {
+ public:
+  GridNnCursor(const HierarchicalGrid& grid, const Point& query);
+
+  std::optional<std::pair<std::int32_t, double>> Next();
+
+  // Distance the next Next() would return (+infinity when exhausted); may
+  // fetch cells to find out, like NnIterator::PeekDistance.
+  double PeekDistance();
+
+  // Coarse cells fetched so far.
+  std::uint64_t cells_visited() const { return cells_.coarse_visited(); }
+
+ private:
+  // Fetches coarse cells until the heap top is certified (<= TailMinDist)
+  // or the grid drains.
+  void Refine();
+
+  const HierarchicalGrid* grid_;
+  HierRingCursor cells_;
+  Point query_;
+  std::priority_queue<NnCandidate, std::vector<NnCandidate>, NnCandidateFarther> heap_;
 };
 
 }  // namespace cca

@@ -8,9 +8,9 @@ namespace cca {
 
 namespace {
 
-// Same resolution rule as UniformGrid::ResolutionFor, applied to the coarse
-// lattice (square cells near `target_per_cell` residents on average, with
-// the collinear / coincident fallbacks).
+// The lattice resolution rule: square cells near `target_per_cell`
+// residents on average (targets below 1 clamp to 1), with the collinear /
+// coincident fallbacks of one row/column or a single cell.
 void CoarseResolutionFor(const Rect& bounds, std::size_t n_points, double target_per_cell,
                          double* cell, int* cols, int* rows) {
   const double w = bounds.width();
@@ -36,10 +36,10 @@ HierarchicalGrid::HierarchicalGrid(const std::vector<Point>& points, const Optio
 
   const double coarse_target = options.coarse_target_per_cell > 0.0
                                    ? options.coarse_target_per_cell
-                                   : 16.0 * UniformGrid::kDefaultTargetPerCell;
+                                   : 16.0 * kDefaultTargetPerCell;
   const double fine_target = options.fine_target_per_cell > 0.0
                                  ? options.fine_target_per_cell
-                                 : UniformGrid::kDefaultTargetPerCell;
+                                 : kDefaultTargetPerCell;
   split_threshold_ =
       options.split_threshold > 0
           ? options.split_threshold
@@ -80,7 +80,8 @@ HierarchicalGrid::HierarchicalGrid(const std::vector<Point>& points, const Optio
     }
   }
 
-  // Pass 2: CSR over fine cells (counting sort, like the UniformGrid constructor).
+  // Pass 2: CSR over fine cells by counting sort: count per fine cell,
+  // prefix-sum, then scatter ids and coordinates into their slot range.
   // Fine ids of a coarse cell are consecutive, so the slot order clusters
   // by coarse cell first, then by fine child — coarse_count(c) is one
   // subtraction on the CSR bounds.
@@ -138,13 +139,18 @@ int HierarchicalGrid::MaxRing(const Point& q) const {
 }
 
 double HierarchicalGrid::RingTailMinDist(const Point& q, int ring) const {
-  // Same reasoning as UniformGrid::RingTailMinDist, on the coarse lattice:
-  // the bound is floored by MinDist(q, bounds) so exterior queries keep a
-  // useful bound on the rings whose cell square does not contain them.
+  // Every indexed point lies inside the bounding box, so its distance to
+  // an exterior query is at least MinDist(q, bounds): without this floor a
+  // query outside the box gets a useless 0 bound for the small rings whose
+  // cell square does not contain it, and NN cursors for exterior queries
+  // could never certify a candidate before exhausting the grid.
   const double outside = MinDist(q, bounds_);
   if (ring <= 0) return outside;
   int cx = 0, cy = 0;
   LocateCoarse(q, &cx, &cy);
+  // Every point in ring >= r lies outside the square of cells at Chebyshev
+  // distance <= r-1; if q is inside that square, its distance to the
+  // square's boundary bounds all remaining rings from below.
   const int half = ring - 1;
   const double lx = bounds_.lo.x + static_cast<double>(cx - half) * cell_;
   const double hx = bounds_.lo.x + static_cast<double>(cx + half + 1) * cell_;

@@ -22,10 +22,15 @@
 //     (mindist(coarse) + coarse_floor >= upper bound) instead of s^2 fine
 //     checks.
 //
-// Point storage mirrors UniformGrid: one CSR over *fine* cells with
-// cell-clustered coordinate copies (`UniformGrid::CellSlice` is reused as
-// the slice type), fine cells of a coarse cell contiguous in both the
-// fine-cell and the slot order, and id -> coarse/fine/slot inverse maps.
+// Point storage is one CSR over *fine* cells with cell-clustered
+// coordinate copies (SoA), so a caller runs the blocked distance kernel
+// straight over a cell's slice without gathering; fine cells of a coarse
+// cell are contiguous in both the fine-cell and the slot order, with
+// id -> coarse/fine/slot inverse maps.
+//
+// A flat grid is a hierarchy with no splits: `split_threshold` at its
+// maximum leaves one fine cell per coarse cell, which is how the exact
+// solvers' grid NN stream (GridNnCursor, src/geo/grid_cursor.h) uses it.
 #ifndef CCA_GEO_HIER_GRID_H_
 #define CCA_GEO_HIER_GRID_H_
 
@@ -33,7 +38,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "geo/grid.h"
 #include "geo/point.h"
 #include "geo/rect.h"
 
@@ -41,17 +45,29 @@ namespace cca {
 
 class HierarchicalGrid {
  public:
-  // Clustered slice of one fine cell (the flat grid's slice type, so the
-  // fused relax kernel reads both layouts the same way).
-  using CellSlice = UniformGrid::CellSlice;
+  // A fine cell's contents: point ids plus the matching cell-clustered
+  // coordinate slices (xs[i]/ys[i] are the coordinates of ids[i]).
+  // `first_slot` is the slice's offset into the grid's clustered arrays, so
+  // side tables laid out in slot order (HierTauTable values) can be sliced
+  // in lockstep with the coordinates.
+  struct CellSlice {
+    const std::int32_t* ids = nullptr;
+    const double* xs = nullptr;
+    const double* ys = nullptr;
+    std::size_t count = 0;
+    std::size_t first_slot = 0;
+  };
+
+  // Default fine resolution: average residents per fine cell.
+  static constexpr double kDefaultTargetPerCell = 4.0;
 
   struct Options {
     // Average residents per *coarse* cell the builder aims for. The
     // default keeps the coarse lattice ~16x coarser than the default fine
     // resolution, so a coarse-tail rejection retires ~16 fine checks.
-    double coarse_target_per_cell = 16.0 * UniformGrid::kDefaultTargetPerCell;
+    double coarse_target_per_cell = 16.0 * kDefaultTargetPerCell;
     // Residents a split coarse cell's children aim for.
-    double fine_target_per_cell = UniformGrid::kDefaultTargetPerCell;
+    double fine_target_per_cell = kDefaultTargetPerCell;
     // A coarse cell splits when it holds more residents than this; 0
     // auto-derives 4x the fine target (cells already near the fine target
     // gain nothing from subdividing).
@@ -77,7 +93,9 @@ class HierarchicalGrid {
   std::size_t splits() const { return splits_; }
   std::size_t split_threshold() const { return split_threshold_; }
 
-  // --- coarse lattice geometry (mirrors UniformGrid's ring contract) ------
+  // --- coarse lattice geometry -------------------------------------------
+  // Ring r around q is the set of coarse cells at Chebyshev distance
+  // exactly r from q's (clamped) coarse cell.
   void LocateCoarse(const Point& q, int* cx, int* cy) const;
   std::size_t CoarseIndex(int cx, int cy) const {
     return static_cast<std::size_t>(cy) * static_cast<std::size_t>(cols_) +
@@ -87,8 +105,9 @@ class HierarchicalGrid {
   // Largest coarse ring that still intersects the lattice around q.
   int MaxRing(const Point& q) const;
   // Lower bound on dist(q, p) for every point in coarse ring `ring` or any
-  // later ring (non-decreasing in `ring`; the coarse analogue of
-  // UniformGrid::RingTailMinDist, with the same outside-the-box floor).
+  // later ring (non-decreasing in `ring`; floored by MinDist(q, bounds) so
+  // a query outside the box still gets a useful bound). This is what lets
+  // a ring cursor certify a candidate before exhausting the grid.
   double RingTailMinDist(const Point& q, int ring) const;
 
   // --- per-coarse aggregates ---------------------------------------------
@@ -124,9 +143,8 @@ class HierarchicalGrid {
   CellSlice FineCell(std::size_t f) const;
 
   // Calls fn(cx, cy) for every lattice cell of coarse ring `ring` around
-  // the (clamped) coarse cell of `q` (same traversal as
-  // UniformGrid::VisitRing; occupancy filtering is the caller's business —
-  // coarse_count() is O(1)).
+  // the (clamped) coarse cell of `q` (occupancy filtering is the caller's
+  // business — coarse_count() is O(1)).
   template <typename Fn>
   void VisitCoarseRing(const Point& q, int ring, Fn&& fn) const {
     int cx = 0, cy = 0;

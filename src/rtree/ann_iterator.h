@@ -11,7 +11,7 @@
 // larger than the group frontier key (Algorithm 6). Like NnIterator, this is
 // consumed through the backend-neutral NnSource interface (core/nn_source.h)
 // and must honour its per-provider non-decreasing-distance contract; the
-// frontier key plays the same certifying role as GridRingCursor's
+// frontier key plays the same certifying role as HierRingCursor's
 // TailMinDist (src/core/README.md).
 #ifndef CCA_RTREE_ANN_ITERATOR_H_
 #define CCA_RTREE_ANN_ITERATOR_H_

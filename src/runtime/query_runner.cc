@@ -21,7 +21,7 @@ SharedIndex::SharedIndex(std::vector<Point> customers, const Options& options)
     // Both grids are built the way a private per-solve build would be
     // (MakeNnSource's stream grid, SolveSspa's relax hierarchy), so a
     // borrowed and an owned grid are interchangeable.
-    stream_grid_ = std::make_unique<UniformGrid>(customers_, kNnStreamTargetPerCell);
+    stream_grid_ = std::make_unique<HierarchicalGrid>(customers_, NnStreamGridOptions());
     relax_target_per_cell_ = options.relax_target_per_cell;
     hier_split_threshold_ = options.hier_split_threshold;
     SspaConfig relax_probe;

@@ -4,11 +4,12 @@
 // The paper benchmarks one assignment at a time; a serving system runs a
 // *stream* of them (new provider fleets, what-if capacity configurations,
 // rolling re-assignments) against one slowly-changing customer set. The
-// expensive read-only state — the R-tree with its LRU buffer, the uniform
+// expensive read-only state — the R-tree with its LRU buffer, the unsplit
 // streaming grid (coarse cells for kGrid NN discovery) and the hierarchical
 // relax grid (fine cells for the SSPA ring scan) — is built once into a
-// SharedIndex and shared by every in-flight query; all mutable solver state (potentials, heaps, cursors,
-// tau floors, metrics) is private to the executing query. No query ever
+// SharedIndex and shared by every in-flight query; all mutable solver
+// state (potentials, heaps, cursors, tau floors, metrics) is private to the
+// executing query. No query ever
 // writes shared state, so no locks are taken on the query path: the only
 // synchronisation is the buffer pool's internal mutex (physical page reads)
 // and the batch lifecycle itself.
@@ -38,7 +39,6 @@
 #include "core/matching.h"
 #include "core/problem.h"
 #include "flow/sspa.h"
-#include "geo/grid.h"
 #include "geo/hier_grid.h"
 
 namespace cca {
@@ -49,7 +49,7 @@ class SharedIndex {
  public:
   struct Options {
     // Relax-grid resolution (SSPA). Matches SspaConfig's default.
-    double relax_target_per_cell = UniformGrid::kDefaultTargetPerCell;
+    double relax_target_per_cell = HierarchicalGrid::kDefaultTargetPerCell;
     // Build the R-tree CustomerDb (needed by the kRTree* backends and the
     // greedy baseline; grid-only workloads can skip the bulk load).
     bool build_customer_db = true;
@@ -69,9 +69,9 @@ class SharedIndex {
   const std::vector<Point>& customers() const { return customers_; }
   // Null when Options::build_customer_db was false.
   CustomerDb* db() const { return db_.get(); }
-  // Uniform grid at kNnStreamTargetPerCell (core/nn_source.h), injected
-  // into exact kGrid solves.
-  const UniformGrid* stream_grid() const { return stream_grid_.get(); }
+  // Unsplit grid built with NnStreamGridOptions() (core/nn_source.h),
+  // injected into exact kGrid solves.
+  const HierarchicalGrid* stream_grid() const { return stream_grid_.get(); }
   // SSPA relax grid (geo/hier_grid.h) with the standard 16x-coarser top
   // level, injected into ring-scan solves.
   const HierarchicalGrid* relax_hier() const { return relax_hier_.get(); }
@@ -83,7 +83,7 @@ class SharedIndex {
  private:
   std::vector<Point> customers_;
   std::unique_ptr<CustomerDb> db_;
-  std::unique_ptr<UniformGrid> stream_grid_;
+  std::unique_ptr<HierarchicalGrid> stream_grid_;
   std::unique_ptr<HierarchicalGrid> relax_hier_;
   double relax_target_per_cell_ = 0.0;
   std::size_t hier_split_threshold_ = 0;

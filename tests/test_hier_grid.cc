@@ -1,8 +1,10 @@
 // Unit tests for the two-level hierarchical adaptive grid
 // (geo/hier_grid.h): structural invariants of the coarse/fine CSR, the
-// adaptive split policy, the coarse ring-tail lower bound, and the exactness
-// of the two-level tau floors under randomized monotone raises (the
-// aggregation invariant the SSPA coarse-tail rejection is sound against).
+// adaptive split policy, the lattice resolution rule and ring traversal
+// (also on the unsplit lattice the exact solvers' kGrid stream uses), the
+// coarse ring-tail lower bound, and the exactness of the two-level tau
+// floors under randomized monotone raises (the aggregation invariant the
+// SSPA coarse-tail rejection is sound against).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +24,7 @@ namespace {
 using test::ClusteredPoints;
 using test::RandomPoints;
 using test::SkewedPoints;
+using test::UnsplitGrid;
 
 double Dist(const Point& a, const Point& b) {
   return std::sqrt((a.x - b.x) * (a.x - b.x) + (a.y - b.y) * (a.y - b.y));
@@ -47,7 +50,7 @@ void CheckStructure(const std::vector<Point>& pts, const HierarchicalGrid& grid)
       // Children tile their parent (within float slack at the seams).
       EXPECT_GE(fine_rect.lo.x, coarse_rect.lo.x - 1e-9);
       EXPECT_LE(fine_rect.hi.y, coarse_rect.hi.y + 1e-9);
-      const UniformGrid::CellSlice slice = grid.FineCell(f);
+      const HierarchicalGrid::CellSlice slice = grid.FineCell(f);
       ASSERT_EQ(slice.first_slot, grid.fine_cell_begin(f));
       ASSERT_EQ(slice.count, grid.fine_cell_end(f) - grid.fine_cell_begin(f));
       for (std::size_t s = 0; s < slice.count; ++s) {
@@ -90,6 +93,80 @@ TEST(HierGridTest, HandlesDegenerateInputs) {
   HierarchicalGrid grid(same);
   CheckStructure(same, grid);
   EXPECT_EQ(grid.splits(), 1u);
+  // Collinear points (zero height): the lattice degenerates to one row.
+  std::vector<Point> line;
+  for (int i = 0; i < 50; ++i) line.push_back(Point{static_cast<double>(i), 3.0});
+  const HierarchicalGrid line_grid = UnsplitGrid(line, 4.0);
+  CheckStructure(line, line_grid);
+  EXPECT_EQ(line_grid.coarse_rows(), 1);
+  EXPECT_GT(line_grid.coarse_cols(), 1);
+  // An empty grid has a single ring around any query.
+  EXPECT_EQ(UnsplitGrid({}, 4.0).MaxRing(Point{0, 0}), 0);
+}
+
+TEST(HierGridTest, CoarseResolutionTracksTarget) {
+  const auto pts = RandomPoints(1000, 29);
+  const HierarchicalGrid coarse = UnsplitGrid(pts, 50.0);
+  const HierarchicalGrid fine = UnsplitGrid(pts, 2.0);
+  EXPECT_GT(fine.num_coarse(), coarse.num_coarse());
+  // Unsplit: one fine cell per coarse cell, at any resolution.
+  for (const HierarchicalGrid* grid : {&coarse, &fine}) {
+    EXPECT_EQ(grid->splits(), 0u);
+    EXPECT_EQ(grid->num_fine(), grid->num_coarse());
+    CheckStructure(pts, *grid);
+  }
+}
+
+// VisitCoarseRing(q, r) visits exactly the lattice cells at Chebyshev
+// distance r from q's clamped cell: every cell once over all rings, inside
+// and outside the bounding box, on an unsplit and a split lattice.
+TEST(HierGridTest, CoarseRingOrderMatchesChebyshevDistance) {
+  const auto uniform = RandomPoints(300, 13);
+  const auto skewed = SkewedPoints(1200, 13);
+  const HierarchicalGrid unsplit = UnsplitGrid(uniform, 4.0);
+  const HierarchicalGrid split(skewed);
+  ASSERT_GT(split.splits(), 0u);
+  for (const HierarchicalGrid* grid : {&unsplit, &split}) {
+    for (const Point& q : {Point{500, 500}, Point{0, 0}, Point{999, 1}, Point{-50, 1200}}) {
+      int qx = 0, qy = 0;
+      grid->LocateCoarse(q, &qx, &qy);
+      std::vector<int> visits(grid->num_coarse(), 0);
+      for (int ring = 0; ring <= grid->MaxRing(q); ++ring) {
+        grid->VisitCoarseRing(q, ring, [&](int cx, int cy) {
+          EXPECT_EQ(std::max(std::abs(cx - qx), std::abs(cy - qy)), ring);
+          ++visits[grid->CoarseIndex(cx, cy)];
+        });
+      }
+      EXPECT_TRUE(std::all_of(visits.begin(), visits.end(), [](int n) { return n == 1; }));
+    }
+  }
+}
+
+// On the unsplit lattice each coarse cell's single fine slice carries the
+// original coordinates of its ids, and every point lies in its cell's
+// (closed) rectangle.
+TEST(HierGridTest, UnsplitSlicesCarryMatchingCoordinates) {
+  const auto pts = RandomPoints(200, 11);
+  const HierarchicalGrid grid = UnsplitGrid(pts, 4.0);
+  const Point q{321, 654};
+  std::size_t total = 0;
+  for (int ring = 0; ring <= grid.MaxRing(q); ++ring) {
+    grid.VisitCoarseRing(q, ring, [&](int cx, int cy) {
+      const std::size_t c = grid.CoarseIndex(cx, cy);
+      ASSERT_EQ(grid.fine_end(c) - grid.fine_begin(c), 1u);
+      const HierarchicalGrid::CellSlice slice = grid.FineCell(grid.fine_begin(c));
+      ASSERT_EQ(slice.count, grid.coarse_count(c));
+      const Rect cell = grid.CoarseRect(c);
+      for (std::size_t i = 0; i < slice.count; ++i) {
+        const Point original = pts[static_cast<std::size_t>(slice.ids[i])];
+        EXPECT_DOUBLE_EQ(slice.xs[i], original.x);
+        EXPECT_DOUBLE_EQ(slice.ys[i], original.y);
+        EXPECT_TRUE(cell.Contains(original)) << "point " << slice.ids[i] << " outside its cell";
+      }
+      total += slice.count;
+    });
+  }
+  EXPECT_EQ(total, pts.size());
 }
 
 TEST(HierGridTest, SplitPolicyIsOccupancyDriven) {

@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "core/greedy.h"
+#include "core/nn_source.h"
 #include "flow/sspa.h"
-#include "geo/grid.h"
 #include "geo/grid_cursor.h"
 #include "rtree/nn_iterator.h"
 #include "rtree/rtree.h"
@@ -198,12 +198,13 @@ TEST(QueryRunnerTest, WeightedSspaRunsThroughTheRunner) {
 
 // --- raw shared-structure stress --------------------------------------------
 
-// Many threads each drain a private GridNnCursor over ONE shared grid; every
-// thread must observe exactly the stream a serial drain of the same query
-// point produces.
+// Many threads each drain a private GridNnCursor over ONE shared stream grid
+// (the unsplit HierarchicalGrid SharedIndex builds); every thread must
+// observe exactly the stream a serial drain of the same query point
+// produces.
 TEST(ConcurrentCursorStress, GridCursorsShareOneGrid) {
   const std::vector<Point> points = test::ClusteredPoints(2000, 17);
-  const UniformGrid grid(points);
+  const HierarchicalGrid grid(points, NnStreamGridOptions());
   const std::vector<Point> queries = test::RandomPoints(8, 4);
 
   // Serial expectation per query.

@@ -3,7 +3,9 @@
 #ifndef CCA_TESTS_TEST_UTIL_H_
 #define CCA_TESTS_TEST_UTIL_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -11,12 +13,22 @@
 #include "common/rng.h"
 #include "core/customer_db.h"
 #include "core/problem.h"
+#include "geo/hier_grid.h"
 #include "geo/point.h"
 #include "geo/rect.h"
 
 namespace cca::test {
 
 inline Rect UnitWorld() { return Rect{{0.0, 0.0}, {1000.0, 1000.0}}; }
+
+// A flat grid is a hierarchy with no splits: one fine cell per coarse cell
+// at `target` residents per cell (the kGrid stream grid's shape).
+inline HierarchicalGrid UnsplitGrid(const std::vector<Point>& pts, double target) {
+  HierarchicalGrid::Options options;
+  options.coarse_target_per_cell = target;
+  options.split_threshold = std::numeric_limits<std::size_t>::max();
+  return HierarchicalGrid(pts, options);
+}
 
 // Uniform random points in the [0,1000]^2 world.
 inline std::vector<Point> RandomPoints(std::size_t n, std::uint64_t seed) {

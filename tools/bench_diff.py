@@ -33,6 +33,13 @@ fails when
 
 Timing fields are reported but never gated: wall clock is machine-
 dependent, the work counters are not.
+
+Every gated counter that differs from its baseline at all -- in either
+direction, even within the slack -- is also printed as a report-only
+"[drift, not gated]" line. Counters are deterministic, so any such line
+means the committed baseline no longer matches the code: a stale baseline
+that the slack would otherwise hide shows up in the CI log. Drift lines
+never change the exit code.
 """
 import argparse
 import json
@@ -153,6 +160,10 @@ def main():
                     f"{label}: gated counter {counter} is in the baseline "
                     "but missing from the new row")
                 continue
+            if new[counter] != base[counter]:
+                print(f"  [drift, not gated] {label}: {counter} "
+                      f"{base[counter]} -> {new[counter]} "
+                      f"({new[counter] - base[counter]:+})")
             limit = base[counter] * (1.0 + args.relax_slack)
             if new[counter] > limit:
                 failures.append(
