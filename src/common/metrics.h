@@ -129,12 +129,6 @@ struct Metrics {
   // stay exact under concurrency because no bundle is ever shared between
   // threads.
   void Merge(const Metrics& other);
-  Metrics& operator+=(const Metrics& other) {
-    Merge(other);
-    return *this;
-  }
-  // Legacy spelling of Merge.
-  void Accumulate(const Metrics& other) { Merge(other); }
 
   // Human-readable one-line summary, used by examples and benches:
   // `label=value` for every non-zero counter in the field table, then

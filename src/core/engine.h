@@ -51,9 +51,6 @@ class IncrementalEngine {
     // Reuse Dijkstra state across edge insertions within one iteration
     // (paper Section 3.4.1). Off = recompute from scratch each time.
     bool use_pua = true;
-    // Provider->customer edges have capacity 1 (the exact CCA setting).
-    // False leaves them node-bounded, as needed for weighted customers.
-    bool unit_edges = true;
   };
 
   IncrementalEngine(const Problem& problem, const Config& config, Metrics* metrics);
@@ -176,6 +173,8 @@ class IncrementalEngine {
   Metrics* metrics_;
 
   std::size_t nq_;
+  // Unweighted problem: provider->customer edges have capacity 1 (the
+  // exact CCA setting); weighted customers leave them node-bounded.
   bool unit_;
   std::int64_t gamma_;
   std::int64_t assigned_ = 0;

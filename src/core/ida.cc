@@ -26,7 +26,6 @@ ExactResult SolveIda(const Problem& problem, CustomerDb* db, const ExactConfig& 
 
   IncrementalEngine::Config engine_config;
   engine_config.use_pua = config.use_pua;
-  engine_config.unit_edges = problem.weights.empty();
   IncrementalEngine engine(problem, engine_config, &result.metrics);
 
   auto source = MakeNnSource(db, problem, config, &result.metrics);

@@ -34,7 +34,6 @@ ExactResult SolveRia(const Problem& problem, CustomerDb* db, const ExactConfig& 
 
   IncrementalEngine::Config engine_config;
   engine_config.use_pua = config.use_pua;
-  engine_config.unit_edges = problem.weights.empty();
   IncrementalEngine engine(problem, engine_config, &result.metrics);
 
   const double world_diag = problem.World().Diagonal();

@@ -29,14 +29,13 @@ std::int64_t ComputeOverflow(const Problem& problem, const SspaConfig& config) {
   return std::max<std::int64_t>(0, weight - capacity);
 }
 
-// The documented default penalty: 2x the bounding-box diagonal of all
-// points + 1, strictly above any real edge cost. The matching itself is
+// The overflow penalty: 2x the bounding-box diagonal of all points + 1,
+// strictly above any real edge cost. The matching itself is
 // penalty-independent (the virtual capacity equals the overflow exactly,
 // so real capacity always saturates — see SspaConfig::allow_overflow);
 // staying above every distance keeps Dijkstra's path ordering treating the
 // virtual provider as the strict last resort.
-double ComputeOverflowPenalty(const Problem& problem, const SspaConfig& config) {
-  if (config.overflow_penalty > 0.0) return config.overflow_penalty;
+double ComputeOverflowPenalty(const Problem& problem) {
   double lo_x = kInf, lo_y = kInf, hi_x = -kInf, hi_y = -kInf;
   const auto grow = [&](const Point& pt) {
     lo_x = std::min(lo_x, pt.x);
@@ -78,7 +77,7 @@ class SspaSolver {
         config_(config),
         real_nq_(problem.providers.size()),
         overflow_(ComputeOverflow(problem, config)),
-        penalty_(overflow_ > 0 ? ComputeOverflowPenalty(problem, config) : 0.0),
+        penalty_(overflow_ > 0 ? ComputeOverflowPenalty(problem) : 0.0),
         nq_(real_nq_ + (overflow_ > 0 ? 1 : 0)),
         np_(problem.customers.size()),
         unit_customers_(problem.weights.empty()),

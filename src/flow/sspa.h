@@ -82,13 +82,15 @@ struct SspaConfig {
   // regime disables flow adoption, so every churn step pays a full
   // re-solve. With allow_overflow the solver adds one internal *virtual*
   // provider whose capacity is exactly the overflow (total weight - total
-  // capacity) and whose edge to every customer costs a flat
-  // overflow_penalty: the effective gamma becomes the total weight, the
-  // ample-capacity regime (and warm flow adoption) applies on both sides
-  // of the feasibility boundary, and the units routed to the virtual
-  // provider come back in SspaResult::unassigned instead of silently
-  // vanishing. Because the virtual capacity equals the overflow exactly,
-  // every feasible flow saturates the real providers, so the real
+  // capacity) and whose edge to every customer costs a flat penalty of
+  // 2x the instance's bounding-box diagonal + 1, strictly above any real
+  // distance so the virtual provider never undercuts real capacity in any
+  // Dijkstra run's path ordering. The effective gamma becomes the total
+  // weight, the ample-capacity regime (and warm flow adoption) applies on
+  // both sides of the feasibility boundary, and the units routed to the
+  // virtual provider come back in SspaResult::unassigned instead of
+  // silently vanishing. Because the virtual capacity equals the overflow
+  // exactly, every feasible flow saturates the real providers, so the real
   // sub-matching is the min-cost maximum matching regardless of the
   // penalty's magnitude (the penalty contributes the constant
   // overflow * penalty, which is excluded from the reported cost along
@@ -97,11 +99,6 @@ struct SspaConfig {
   // overflow > 0. Default off so committed batch-bench trajectories are
   // untouched; AssignmentEngine turns it on.
   bool allow_overflow = false;
-  // Cost of the virtual provider's edge to every customer. <= 0 derives
-  // the documented default: 2x the instance's bounding-box diagonal + 1,
-  // strictly above any real distance so the virtual provider never
-  // undercuts real capacity in any Dijkstra run's path ordering.
-  double overflow_penalty = 0.0;
   // Cooperative deadline for the whole solve, in wall milliseconds;
   // <= 0 disables. Checked once per augmentation (Dijkstra-run
   // granularity — one run is the smallest unit that leaves the duals and

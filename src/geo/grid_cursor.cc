@@ -27,8 +27,8 @@ void HierRingCursor::FillRing() {
       const std::size_t c = grid_->CoarseIndex(cx, cy);
       const std::size_t count = grid_->coarse_count(c);
       if (count == 0) return;
-      buffer_.push_back(CoarseView{cx, cy, ring_, c, MinDist(query_, grid_->CoarseRect(c)),
-                                   count, grid_->fine_begin(c), grid_->fine_end(c)});
+      buffer_.push_back(CoarseView{ring_, c, MinDist(query_, grid_->CoarseRect(c)), count,
+                                   grid_->fine_begin(c), grid_->fine_end(c)});
     });
     if (!buffer_.empty()) {
       // Serving a ring's cells nearest-first lets TailMinDist() tighten

@@ -62,10 +62,8 @@ struct NnCandidateFarther {
 class HierRingCursor {
  public:
   struct CoarseView {
-    int cx = 0;
-    int cy = 0;
     int ring = 0;
-    std::size_t cell = 0;   // HierarchicalGrid::CoarseIndex(cx, cy)
+    std::size_t cell = 0;   // HierarchicalGrid::CoarseIndex of the cell
     double min_dist = 0.0;  // MinDist(query, coarse rect)
     std::size_t count = 0;  // residents of the whole coarse cell
     std::size_t fine_begin = 0;  // global fine-cell id range [begin, end)

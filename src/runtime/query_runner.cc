@@ -22,12 +22,7 @@ SharedIndex::SharedIndex(std::vector<Point> customers, const Options& options)
     // (MakeNnSource's stream grid, SolveSspa's relax hierarchy), so a
     // borrowed and an owned grid are interchangeable.
     stream_grid_ = std::make_unique<HierarchicalGrid>(customers_, NnStreamGridOptions());
-    relax_target_per_cell_ = options.relax_target_per_cell;
-    hier_split_threshold_ = options.hier_split_threshold;
-    SspaConfig relax_probe;
-    relax_probe.grid_target_per_cell = relax_target_per_cell_;
-    relax_probe.hier_split_threshold = hier_split_threshold_;
-    relax_hier_ = std::make_unique<HierarchicalGrid>(customers_, RelaxGridOptions(relax_probe));
+    relax_hier_ = std::make_unique<HierarchicalGrid>(customers_, RelaxGridOptions(SspaConfig{}));
   }
 }
 
@@ -119,10 +114,12 @@ QueryOutcome QueryRunner::RunOne(const QuerySpec& spec) const {
     case QuerySolver::kSspa: {
       SspaConfig config = spec.sspa;
       // The relax grid borrows when the query would build the same one:
-      // same customers, resolution and split threshold.
+      // same customers, and SspaConfig's default resolution and split
+      // threshold.
+      const SspaConfig defaults;
       if (config.use_grid && config.shared_hier_grid == nullptr && same_customers &&
-          config.grid_target_per_cell == index_->relax_target_per_cell() &&
-          config.hier_split_threshold == index_->hier_split_threshold()) {
+          config.grid_target_per_cell == defaults.grid_target_per_cell &&
+          config.hier_split_threshold == defaults.hier_split_threshold) {
         config.shared_hier_grid = index_->relax_hier();
       }
       SspaResult r = SolveSspa(spec.problem, config);

@@ -48,15 +48,9 @@ namespace cca {
 class SharedIndex {
  public:
   struct Options {
-    // Relax-grid resolution (SSPA). Matches SspaConfig's default.
-    double relax_target_per_cell = HierarchicalGrid::kDefaultTargetPerCell;
     // Build the R-tree CustomerDb (needed by the kRTree* backends and the
     // greedy baseline; grid-only workloads can skip the bulk load).
     bool build_customer_db = true;
-    // Split threshold for the shared relax hierarchy (0 = the builder's
-    // auto default); must match a query's hier_split_threshold for the
-    // shared hierarchy to be injected.
-    std::size_t hier_split_threshold = 0;
     CustomerDb::Options db;
   };
 
@@ -72,21 +66,17 @@ class SharedIndex {
   // Unsplit grid built with NnStreamGridOptions() (core/nn_source.h),
   // injected into exact kGrid solves.
   const HierarchicalGrid* stream_grid() const { return stream_grid_.get(); }
-  // SSPA relax grid (geo/hier_grid.h) with the standard 16x-coarser top
-  // level, injected into ring-scan solves.
+  // SSPA relax grid (geo/hier_grid.h) built with
+  // RelaxGridOptions(SspaConfig{}), injected into ring-scan solves whose
+  // grid_target_per_cell and hier_split_threshold are SspaConfig's
+  // defaults.
   const HierarchicalGrid* relax_hier() const { return relax_hier_.get(); }
-  // Resolution and split threshold the relax grid was built at (used by
-  // QueryRunner to decide whether a query's config can borrow it).
-  double relax_target_per_cell() const { return relax_target_per_cell_; }
-  std::size_t hier_split_threshold() const { return hier_split_threshold_; }
 
  private:
   std::vector<Point> customers_;
   std::unique_ptr<CustomerDb> db_;
   std::unique_ptr<HierarchicalGrid> stream_grid_;
   std::unique_ptr<HierarchicalGrid> relax_hier_;
-  double relax_target_per_cell_ = 0.0;
-  std::size_t hier_split_threshold_ = 0;
 };
 
 // Which solver a QuerySpec runs.

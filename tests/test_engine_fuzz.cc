@@ -123,9 +123,7 @@ TEST(EngineFuzzTest, WeightedCustomersRandomised) {
     for (auto& w : problem.weights) w = static_cast<std::int32_t>(rng.UniformInt(1, 5));
 
     Metrics metrics;
-    IncrementalEngine::Config config;
-    config.unit_edges = false;
-    IncrementalEngine engine(problem, config, &metrics);
+    IncrementalEngine engine(problem, IncrementalEngine::Config{}, &metrics);
     for (std::size_t q = 0; q < problem.providers.size(); ++q) {
       for (std::size_t p = 0; p < problem.customers.size(); ++p) {
         engine.InsertEdge(static_cast<int>(q), static_cast<int>(p),

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <limits>
 #include <set>
 #include <vector>
@@ -48,6 +49,9 @@ TEST(HierRingCursorTest, RingsNonDecreasingAndCellsSortedWithinRing) {
   ForBothShapes(400, 5, [](const std::vector<Point>&, const HierarchicalGrid& grid) {
     const Point q{321, 654};
     HierRingCursor cursor(grid, q);
+    int qx = 0, qy = 0;
+    grid.LocateCoarse(q, &qx, &qy);
+    const auto cols = static_cast<std::size_t>(grid.coarse_cols());
     int prev_ring = -1;
     double prev_min_dist = -1.0;
     while (const auto cell = cursor.NextCoarse()) {
@@ -58,7 +62,9 @@ TEST(HierRingCursorTest, RingsNonDecreasingAndCellsSortedWithinRing) {
       }
       EXPECT_GE(cell->min_dist, prev_min_dist);
       prev_min_dist = cell->min_dist;
-      EXPECT_EQ(cell->cell, grid.CoarseIndex(cell->cx, cell->cy));
+      const int cx = static_cast<int>(cell->cell % cols);
+      const int cy = static_cast<int>(cell->cell / cols);
+      EXPECT_EQ(cell->ring, std::max(std::abs(cx - qx), std::abs(cy - qy)));
       EXPECT_DOUBLE_EQ(cell->min_dist, MinDist(q, grid.CoarseRect(cell->cell)));
     }
   });

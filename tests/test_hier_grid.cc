@@ -169,7 +169,7 @@ TEST(HierGridTest, UnsplitSlicesCarryMatchingCoordinates) {
   EXPECT_EQ(total, pts.size());
 }
 
-TEST(HierGridTest, SplitPolicyIsOccupancyDriven) {
+TEST(HierGridTest, SplitRuleIsOccupancyDriven) {
   // Skewed data: the hot box must split, sparse cells must not.
   const auto pts = SkewedPoints(4000, 21);
   HierarchicalGrid::Options options;

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "flow/sspa.h"
@@ -61,7 +62,9 @@ TEST(SspaHierEquivalence, SplitThresholdVariantsAgree) {
 TEST(SspaHierEquivalence, SharedIndexInjectionMatchesPrivateBuild) {
   // A solve borrowing the SharedIndex's hierarchical grid must be
   // bit-identical to one building its own (same counters included — the
-  // borrowed structure is the same structure).
+  // borrowed structure is the same structure). The second spec asks for a
+  // different split threshold, so it must keep its private build: a gate
+  // that lent it the default-threshold grid would change hier_splits.
   const Problem problem = SkewedInstance(8, 300, /*weighted=*/false, 9);
   SharedIndex::Options options;
   options.build_customer_db = false;
@@ -70,15 +73,25 @@ TEST(SspaHierEquivalence, SharedIndexInjectionMatchesPrivateBuild) {
   QuerySpec spec;
   spec.solver = QuerySolver::kSspa;
   spec.problem = problem;
-  const QueryOutcome outcome = runner.Run({spec}).front();
-  const SspaResult direct = SolveSspa(problem, spec.sspa);
-  EXPECT_NEAR(outcome.matching.cost(), direct.matching.cost(),
-              1e-9 * std::max(1.0, direct.matching.cost()));
-  EXPECT_EQ(outcome.metrics.dijkstra_pops, direct.metrics.dijkstra_pops);
-  EXPECT_EQ(outcome.metrics.dijkstra_relaxes, direct.metrics.dijkstra_relaxes);
-  EXPECT_EQ(outcome.metrics.coarse_tails_pruned, direct.metrics.coarse_tails_pruned);
-  EXPECT_EQ(outcome.metrics.coarse_cells_descended, direct.metrics.coarse_cells_descended);
-  EXPECT_EQ(outcome.metrics.hier_splits, direct.metrics.hier_splits);
+  QuerySpec split_spec = spec;
+  split_spec.sspa.hier_split_threshold = 1;
+  const std::vector<QuerySpec> batch{spec, split_spec};
+  const std::vector<QueryOutcome> outcomes = runner.Run(batch);
+  ASSERT_EQ(outcomes.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const QueryOutcome& outcome = outcomes[i];
+    const SspaResult direct = SolveSspa(problem, batch[i].sspa);
+    EXPECT_NEAR(outcome.matching.cost(), direct.matching.cost(),
+                1e-9 * std::max(1.0, direct.matching.cost()))
+        << "spec " << i;
+    EXPECT_EQ(outcome.metrics.dijkstra_pops, direct.metrics.dijkstra_pops) << "spec " << i;
+    EXPECT_EQ(outcome.metrics.dijkstra_relaxes, direct.metrics.dijkstra_relaxes) << "spec " << i;
+    EXPECT_EQ(outcome.metrics.coarse_tails_pruned, direct.metrics.coarse_tails_pruned)
+        << "spec " << i;
+    EXPECT_EQ(outcome.metrics.coarse_cells_descended, direct.metrics.coarse_cells_descended)
+        << "spec " << i;
+    EXPECT_EQ(outcome.metrics.hier_splits, direct.metrics.hier_splits) << "spec " << i;
+  }
 }
 
 }  // namespace
