@@ -15,8 +15,9 @@
 // small-perturbation step the warm engine re-augments only the churned
 // units, so its dijkstra_pops must sit far below the cold engine's —
 // that column is the gated headline (tools/bench_diff.py: cost, pops,
-// relaxes and augmentations gate against BENCH_dispatch.json; timing is
-// reported but never gated).
+// relaxes and augmentations gate against BENCH_dispatch.json; timing and
+// fast_path_assigns, the units cold Resolves assign in SSPA's Theorem-2
+// prefix, are reported but never gated).
 //
 //   bench_engine_dispatch [--out BENCH_dispatch.json] [--max-np N]
 //                         [--stats-out FILE]  (per-step warm EngineStats JSON)
@@ -120,7 +121,8 @@ void WriteJson(const std::vector<Row>& rows, const std::string& path) {
                  "\"qps\": %.2f, \"p50_ms\": %.3f, \"p99_ms\": %.3f, \"p999_ms\": %.3f, "
                  "\"mean_ms\": %.3f, \"wall_ms\": %.1f, "
                  "\"cost\": %.3f, \"pops\": %llu, \"relaxes\": %llu, "
-                 "\"augmentations\": %llu, \"dual_repairs\": %llu, "
+                 "\"augmentations\": %llu, \"fast_path_assigns\": %llu, "
+                 "\"dual_repairs\": %llu, "
                  "\"warm_units_adopted\": %llu, "
                  "\"deadline_breaches\": %llu, \"degraded_resolves\": %llu, "
                  "\"unassigned_units\": %llu}%s\n",
@@ -129,6 +131,7 @@ void WriteJson(const std::vector<Row>& rows, const std::string& path) {
                  static_cast<unsigned long long>(m.dijkstra_pops),
                  static_cast<unsigned long long>(m.dijkstra_relaxes),
                  static_cast<unsigned long long>(m.augmentations),
+                 static_cast<unsigned long long>(m.fast_path_assigns),
                  static_cast<unsigned long long>(m.dual_repairs),
                  static_cast<unsigned long long>(m.warm_units_adopted),
                  static_cast<unsigned long long>(r.stats.deadline_breaches),

@@ -5,7 +5,9 @@
 // Prints a human-readable table and writes a machine-readable
 // `BENCH_sspa.json` (array of runs: n_q, n_p, k, mode, dist, relaxes,
 // pruned, distances_computed, cells_pruned, pops, rings, cells, coarse
-// tail/descent counters, millis, cost) so successive changes can track the
+// tail/descent counters, augmentations, fast_path_assigns -- the units the
+// Theorem-2 prefix assigned without Dijkstra, reported but not gated --
+// millis, cost) so successive changes can track the
 // perf trajectory — CI gates the distances_computed column (and the
 // hierarchical-grid counters) via tools/bench_diff.py so the relax scan's
 // quadratic distance term cannot silently regress. Usage:
@@ -197,7 +199,7 @@ void WriteJson(const std::vector<Run>& runs, const std::string& path) {
                  "\"coarse_tails_pruned\": %llu, "
                  "\"coarse_cells_descended\": %llu, \"hier_splits\": %llu, \"pops\": %llu, "
                  "\"grid_rings_scanned\": %llu, \"grid_cursor_cells\": %llu, "
-                 "\"augmentations\": %llu, "
+                 "\"augmentations\": %llu, \"fast_path_assigns\": %llu, "
                  "\"millis\": %.3f, \"cost\": %.3f}%s\n",
                  r.nq, r.np, r.k, r.mode, r.dist,
                  static_cast<unsigned long long>(m.dijkstra_relaxes),
@@ -210,7 +212,8 @@ void WriteJson(const std::vector<Run>& runs, const std::string& path) {
                  static_cast<unsigned long long>(m.dijkstra_pops),
                  static_cast<unsigned long long>(m.grid_rings_scanned),
                  static_cast<unsigned long long>(m.grid_cursor_cells),
-                 static_cast<unsigned long long>(m.augmentations), m.cpu_millis,
+                 static_cast<unsigned long long>(m.augmentations),
+                 static_cast<unsigned long long>(m.fast_path_assigns), m.cpu_millis,
                  r.result.matching.cost(), i + 1 < runs.size() ? "," : "");
   }
   std::fprintf(f, "]\n");

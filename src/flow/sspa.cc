@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <queue>
 #include <vector>
 
 #include "common/indexed_heap.h"
@@ -143,6 +144,8 @@ class SspaSolver {
     // tight arcs; only the deficit is re-augmented. Zero on cold solves.
     for (std::size_t p = 0; p < np_; ++p) remaining -= sink_flow_[p];
     assert(remaining >= 0);
+    // Cold unit solves assign their Theorem-2 prefix without Dijkstra.
+    remaining -= GreedyPrefix(remaining, &result.metrics);
     while (remaining > 0) {
       // Cooperative deadline, checked at Dijkstra-run granularity: one run
       // + augment + potential update is the smallest step that leaves the
@@ -202,6 +205,114 @@ class SspaSolver {
   double EdgeCost(std::size_t q, std::size_t p) const {
     return q < real_nq_ ? Distance(problem_.providers[q].pos, problem_.customers[p])
                         : penalty_;
+  }
+
+  // The Theorem-2 prefix of a cold solve (src/flow/README.md has the
+  // proof). While no provider is full, the globally shortest edge to an
+  // unassigned customer is the shortest augmenting path, so the solve
+  // assigns straight off per-provider NN streams merged in one edge heap
+  // until the first provider fills (or gamma is reached), then hands the
+  // Dijkstra loop the closed-form duals of that flow, IncrementalEngine's
+  // form with D the last assigned edge's length: tau_q = D for every
+  // provider, tau_p = D - dist(serving, p) for each assigned customer, 0
+  // for the rest. Applies to cold unit solves with no virtual provider in
+  // which every provider starts with capacity (a provider that is full
+  // from the start voids the theorem). Returns the units assigned.
+  std::int64_t GreedyPrefix(std::int64_t remaining, Metrics* metrics) {
+    if (warm_ || !unit_customers_ || overflow_ > 0 || remaining == 0) return 0;
+    for (const Provider& q : problem_.providers) {
+      if (q.capacity <= 0) return 0;
+    }
+    CCA_TRACE_SPAN_VAR(span, "sspa.greedy_prefix");
+    // One edge stream per provider: an exact NN cursor over the ring
+    // scan's grid, or on the reference path every distance, sorted
+    // farthest first and served from the back in (dist, id) order, so
+    // both paths run the same prefix and the reference relax stays
+    // index-free.
+    std::vector<GridNnCursor> cursors;
+    std::vector<std::vector<NnCandidate>> lists;
+    if (hier_) {
+      cursors.reserve(real_nq_);
+      for (const Provider& q : problem_.providers) cursors.emplace_back(*hier_, q.pos);
+    } else {
+      lists.resize(real_nq_);
+      std::vector<double> dist(np_);
+      for (std::size_t q = 0; q < real_nq_; ++q) {
+        DistanceBlock(problem_.providers[q].pos, coords_.x.data(), coords_.y.data(), np_,
+                      dist.data());
+        metrics->distances_computed += np_;
+        std::vector<NnCandidate>& list = lists[q];
+        list.resize(np_);
+        for (std::size_t p = 0; p < np_; ++p) {
+          list[p] = NnCandidate{dist[p], static_cast<std::int32_t>(p)};
+        }
+        std::sort(list.begin(), list.end(), NnCandidateFarther{});
+      }
+    }
+    // The merged edge heap, keyed (dist, q, p) so the order is deterministic.
+    struct Edge {
+      double dist;
+      std::int32_t q, p;
+    };
+    const auto later = [](const Edge& a, const Edge& b) {
+      if (a.dist != b.dist) return a.dist > b.dist;
+      return a.q != b.q ? a.q > b.q : a.p > b.p;
+    };
+    std::priority_queue<Edge, std::vector<Edge>, decltype(later)> heap(later);
+    const auto advance = [&](std::size_t q) {
+      if (hier_) {
+        if (const auto nn = cursors[q].Next()) {
+          heap.push(Edge{nn->second, static_cast<std::int32_t>(q), nn->first});
+        }
+      } else if (!lists[q].empty()) {
+        const NnCandidate c = lists[q].back();
+        lists[q].pop_back();
+        heap.push(Edge{c.dist, static_cast<std::int32_t>(q), c.oid});
+      }
+    };
+    for (std::size_t q = 0; q < real_nq_; ++q) advance(q);
+    std::vector<Edge> taken;
+    while (static_cast<std::int64_t>(taken.size()) < remaining && !heap.empty()) {
+      const Edge e = heap.top();
+      heap.pop();
+      const auto q = static_cast<std::size_t>(e.q);
+      const auto p = static_cast<std::size_t>(e.p);
+      if (serving_[p] < 0) {
+        serving_[p] = e.q;
+        ++used_q_[q];
+        sink_flow_[p] = 1;
+        taken.push_back(e);
+        if (used_q_[q] == problem_.providers[q].capacity) break;
+      }
+      advance(q);
+    }
+    // Feasible and tight: every assigned customer's server is its nearest
+    // provider (none was full when it was assigned), every unassigned
+    // customer is at least D from every provider, and matched arcs have
+    // reduced cost exactly D - dist - (D - dist) = 0.
+    if (!taken.empty()) {
+      const double d_last = taken.back().dist;
+      std::fill(tau_q_.begin(), tau_q_.end(), d_last);
+      for (const Edge& e : taken) {
+        const auto p = static_cast<std::size_t>(e.p);
+        const double tau = d_last - e.dist;
+        if (tau <= 0.0) continue;
+        tau_p_[p] = tau;
+        if (hier_floors_) hier_floors_->Raise(p, tau);
+      }
+    }
+    std::uint64_t cells = 0;
+    for (const GridNnCursor& cursor : cursors) {
+      cells += cursor.cells_visited();
+      metrics->distances_computed += cursor.points_fetched();
+    }
+    metrics->grid_cursor_cells += cells;
+    metrics->index_node_accesses += cells;
+    const auto assigned = static_cast<std::int64_t>(taken.size());
+    metrics->augmentations += static_cast<std::uint64_t>(assigned);
+    metrics->fast_path_assigns += static_cast<std::uint64_t>(assigned);
+    span.Arg("assigned", static_cast<std::uint64_t>(assigned));
+    return assigned;
   }
 
   // Restores the warm-start invariants before the first Dijkstra run (the

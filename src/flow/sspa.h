@@ -22,6 +22,14 @@
 //     every provider pop, with only the per-candidate upper-bound prune.
 //     It shares no index code with the ring scan, which is why tests and
 //     benches compare against it (`--dense` in cca_cli).
+//
+// Cold solves on unit customers with no virtual provider, in which every
+// provider starts with capacity, open with the paper's Theorem-2 prefix on
+// both paths: they assign the globally shortest edge to a free customer
+// straight off merged per-provider NN streams until the first provider
+// fills, then start Dijkstra from the closed-form duals of that flow.
+// Those units count in Metrics::fast_path_assigns, not dijkstra_runs
+// (src/flow/README.md has the proof).
 #ifndef CCA_FLOW_SSPA_H_
 #define CCA_FLOW_SSPA_H_
 

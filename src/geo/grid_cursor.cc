@@ -64,16 +64,28 @@ GridNnCursor::GridNnCursor(const HierarchicalGrid& grid, const Point& query)
     : grid_(&grid), cells_(grid, query), query_(query) {}
 
 void GridNnCursor::Refine() {
-  while (!cells_.exhausted() && (heap_.empty() || heap_.top().dist > cells_.TailMinDist())) {
-    const auto cell = cells_.NextCoarse();
-    if (!cell) break;
-    for (std::size_t f = cell->fine_begin; f < cell->fine_end; ++f) {
-      const HierarchicalGrid::CellSlice slice = grid_->FineCell(f);
-      for (std::size_t i = 0; i < slice.count; ++i) {
-        heap_.push(
-            NnCandidate{Distance(query_, Point{slice.xs[i], slice.ys[i]}), slice.ids[i]});
+  while (true) {
+    if (!cells_.exhausted() && (heap_.empty() || heap_.top().dist > cells_.TailMinDist())) {
+      const auto cell = cells_.NextCoarse();
+      if (!cell) break;
+      for (std::size_t f = cell->fine_begin; f < cell->fine_end; ++f) {
+        if (grid_->fine_cell_begin(f) == grid_->fine_cell_end(f)) continue;
+        heap_.push(NnCandidate{MinDist(query_, grid_->FineRect(f)),
+                               -1 - static_cast<std::int32_t>(f)});
       }
+      continue;
     }
+    // A fine cell on top may hold the next point: open it. Its key lower-
+    // bounds every resident's distance and sorts before equal-distance
+    // points, so points are still served in (distance, id) order.
+    if (heap_.empty() || heap_.top().oid >= 0) break;
+    const auto f = static_cast<std::size_t>(-1 - heap_.top().oid);
+    heap_.pop();
+    const HierarchicalGrid::CellSlice slice = grid_->FineCell(f);
+    for (std::size_t i = 0; i < slice.count; ++i) {
+      heap_.push(NnCandidate{Distance(query_, Point{slice.xs[i], slice.ys[i]}), slice.ids[i]});
+    }
+    points_fetched_ += slice.count;
   }
 }
 

@@ -14,8 +14,9 @@
 //     NextCoarse() calls.
 //   * `GridNnCursor` refines that coarse-cell stream into an exact
 //     incremental nearest-neighbour stream (non-decreasing point
-//     distances) by holding every fetched point in a candidate heap and
-//     serving the top as soon as its distance is within `TailMinDist()`.
+//     distances) by holding fetched fine cells and opened points in one
+//     candidate heap and serving the top point as soon as its distance is
+//     within `TailMinDist()`.
 // (RIA's nested annular batches need no separate range primitive: the
 // grid backend drains a persistent NN stream per provider up to each new
 // T, so inner cells are never re-fetched across batches — see
@@ -42,6 +43,9 @@ namespace cca {
 
 // Candidate-heap entry for GridNnCursor's exact-NN refinement over fetched
 // cells, and its ordering: nearest first, equal distances by ascending id.
+// GridNnCursor also queues unopened fine cells as entries keyed by their
+// MinDist, with oid = -1 - fine id (so a cell sorts before points at the
+// same distance).
 struct NnCandidate {
   double dist;
   std::int32_t oid;
@@ -113,11 +117,14 @@ class HierRingCursor {
 
 // Exact incremental NN stream over a hierarchical grid: Next() yields
 // (point id, distance) pairs in non-decreasing distance order until the
-// grid is exhausted. Each coarse cell the ring cursor serves has every
-// fine child slice pushed into the candidate heap, so the stream is exact
-// on split and unsplit grids alike. Equal-distance candidates already
-// fetched are served in ascending id order (the stream is deterministic;
-// ties spanning a not-yet-fetched cell are served in fetch order).
+// grid is exhausted. Each coarse cell the ring cursor serves queues its
+// occupied fine children in the candidate heap, keyed by MinDist; a fine
+// cell's points pay their distances only when the cell reaches the top,
+// so the stream is exact on split and unsplit grids alike and fetched
+// cells beyond the last served point are never opened. Equal-distance
+// candidates already fetched are served in ascending id order (the stream
+// is deterministic; ties spanning a not-yet-fetched coarse cell are served
+// in fetch order).
 class GridNnCursor {
  public:
   GridNnCursor(const HierarchicalGrid& grid, const Point& query);
@@ -131,15 +138,20 @@ class GridNnCursor {
   // Coarse cells fetched so far.
   std::uint64_t cells_visited() const { return cells_.coarse_visited(); }
 
+  // Points whose distance was computed so far (residents of opened fine
+  // cells).
+  std::uint64_t points_fetched() const { return points_fetched_; }
+
  private:
-  // Fetches coarse cells until the heap top is certified (<= TailMinDist)
-  // or the grid drains.
+  // Fetches coarse cells and opens fine cells until the heap top is a
+  // point certified by TailMinDist, or the grid drains.
   void Refine();
 
   const HierarchicalGrid* grid_;
   HierRingCursor cells_;
   Point query_;
   std::priority_queue<NnCandidate, std::vector<NnCandidate>, NnCandidateFarther> heap_;
+  std::uint64_t points_fetched_ = 0;
 };
 
 }  // namespace cca

@@ -1,8 +1,8 @@
 // Unit tests for the shared discovery cursors (geo/grid_cursor.h): coarse
 // ring order within and across rings, the certified tail lower bound, and
 // the exact incremental-NN refinement (brute-force order, peek, nested
-// annular drains) on both an unsplit lattice (the kGrid stream grid) and a
-// split hierarchy.
+// annular drains, lazy fine-cell opening) on both an unsplit lattice (the
+// kGrid stream grid) and a split hierarchy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -147,6 +147,33 @@ TEST(GridNnCursorTest, PeekDoesNotConsume) {
       EXPECT_DOUBLE_EQ(hit->second, peeked);
     }
     EXPECT_EQ(cursor.PeekDistance(), std::numeric_limits<double>::infinity());
+  });
+}
+
+// Fine cells open lazily: after serving a point at distance d, the cursor
+// has paid distances for exactly the residents of the fine cells it had to
+// open -- every fine cell with MinDist < d, and none with MinDist > d
+// (cells at exactly d may go either way).
+TEST(GridNnCursorTest, OpensOnlyFineCellsWithinTheServedDistance) {
+  ForBothShapes(400, 31, [](const std::vector<Point>&, const HierarchicalGrid& grid) {
+    Rng rng(37);
+    for (int trial = 0; trial < 6; ++trial) {
+      const Point q{rng.Uniform(-50.0, 1050.0), rng.Uniform(-50.0, 1050.0)};
+      GridNnCursor cursor(grid, q);
+      for (int rank = 0; rank < 40; ++rank) {
+        const auto hit = cursor.Next();
+        ASSERT_TRUE(hit.has_value());
+        std::uint64_t below = 0, within = 0;
+        for (std::size_t f = 0; f < grid.num_fine(); ++f) {
+          const std::size_t count = grid.fine_cell_end(f) - grid.fine_cell_begin(f);
+          const double key = MinDist(q, grid.FineRect(f));
+          if (key < hit->second) below += count;
+          if (key <= hit->second) within += count;
+        }
+        EXPECT_GE(cursor.points_fetched(), below) << "trial " << trial << " rank " << rank;
+        EXPECT_LE(cursor.points_fetched(), within) << "trial " << trial << " rank " << rank;
+      }
+    }
   });
 }
 

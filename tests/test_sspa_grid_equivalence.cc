@@ -69,6 +69,12 @@ void ExpectMatchesReference(const Problem& problem, const std::string& label,
   EXPECT_TRUE(ValidateMatching(problem, reference.matching, &error)) << label << ": " << error;
   ExpectSameTrajectory(grid, reference, label);
   EXPECT_EQ(grid.unassigned_units, reference.unassigned_units) << label;
+  // Every augmentation is either a Theorem-2 prefix unit or one Dijkstra run.
+  for (const SspaResult* result : {&grid, &reference}) {
+    EXPECT_EQ(result->metrics.augmentations,
+              result->metrics.dijkstra_runs + result->metrics.fast_path_assigns)
+        << label;
+  }
   // The pruned path must never relax (meaningfully) more than the
   // candidates the reference examined; the reference itself may relax far
   // fewer, since its per-candidate upper-bound prune is finer-grained than
@@ -193,8 +199,12 @@ TEST(SspaGridEquivalence, DegenerateGeometries) {
   for (int i = 0; i < 20; ++i) collinear.customers.push_back(Point{5.0 * i, 0.0});
   ExpectMatchesReference(collinear, "collinear");
 
+  // Two coincident providers, the first filling on the first (zero-length)
+  // edge: the Theorem-2 prefix stops there, so the remaining units go
+  // through Dijkstra and the ring scan engages. (A lone provider whose
+  // capacity is gamma would be solved by the prefix alone.)
   Problem coincident;
-  coincident.providers = {Provider{{10, 10}, 3}};
+  coincident.providers = {Provider{{10, 10}, 1}, Provider{{10, 10}, 3}};
   for (int i = 0; i < 5; ++i) coincident.customers.push_back(Point{10, 10});
   ExpectMatchesReference(coincident, "coincident");
 }
